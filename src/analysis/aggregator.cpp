@@ -48,28 +48,32 @@ struct DictCertEntry {
 struct DictCertCache {
   std::vector<DictCertEntry> entries;
 
-  DictCertCache(const SnapshotReader& reader, bool with_moduli) {
-    entries.reserve(reader.cert_count());
-    for (std::uint32_t id = 0; id < reader.cert_count(); ++id) {
-      DictCertEntry entry;
-      const auto der = reader.cert_der(id);
-      entry.fp_hex = to_hex(x509_thumbprint(der));
-      try {
-        const Certificate cert = x509_parse(der);
-        entry.parsed = true;
-        entry.hash = cert.signature_hash;
-        entry.key_bits = cert.key_bits();
-        entry.self_signed = cert.self_signed();
-        entry.org = cert.subject.organization;
-        entry.not_before_days = cert.not_before_days;
-        if (with_moduli) {
-          entry.modulus_hex = cert.public_key.n.to_hex();
-          entry.modulus = cert.public_key.n;
-        }
-      } catch (const DecodeError&) {
-      }
-      entries.push_back(std::move(entry));
-    }
+  /// Entries are built in dictionary blocks on `pool`, each into its own
+  /// slot by id, so the cache is identical for any thread count.
+  DictCertCache(const SnapshotReader& reader, bool with_moduli, const ThreadPool& pool)
+      : entries(reader.cert_count()) {
+    pool.parallel_for_blocks(
+        entries.size(), SnapshotReader::kDictBlock, [&](std::size_t begin, std::size_t end) {
+          for (std::size_t id = begin; id < end; ++id) {
+            DictCertEntry& entry = entries[id];
+            const auto der = reader.cert_der(static_cast<std::uint32_t>(id));
+            entry.fp_hex = to_hex(x509_thumbprint(der));
+            try {
+              const Certificate cert = x509_parse(der);
+              entry.parsed = true;
+              entry.hash = cert.signature_hash;
+              entry.key_bits = cert.key_bits();
+              entry.self_signed = cert.self_signed();
+              entry.org = cert.subject.organization;
+              entry.not_before_days = cert.not_before_days;
+              if (with_moduli) {
+                entry.modulus_hex = cert.public_key.n.to_hex();
+                entry.modulus = cert.public_key.n;
+              }
+            } catch (const DecodeError&) {
+            }
+          }
+        });
   }
 
   const DictCertEntry& at(std::uint32_t id) const {
@@ -903,7 +907,7 @@ StudyAnalysis analyze_source(const RecordSource& source, const AnalysisOptions& 
   // certificate cache instead of decoding full records chunk by chunk.
   const SnapshotReader* col = source.columnar_reader();
   std::optional<DictCertCache> dict_cache;
-  if (col != nullptr) dict_cache.emplace(*col, options.shared_primes);
+  if (col != nullptr) dict_cache.emplace(*col, options.shared_primes, pool);
 
   // ---- pass 1: certificate census of the final measurement --------------
   // Early prefix merge: completed chunk partials are folded into the

@@ -1,5 +1,6 @@
 #include "crypto/hash.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <stdexcept>
@@ -23,6 +24,64 @@ std::string hash_name(HashAlgorithm alg) {
   }
   return "?";
 }
+
+// ------------------------------------------------------- block feed ----
+
+namespace {
+
+// All three hashes are Merkle-Damgard over 64-byte blocks; these two
+// helpers are the only place bytes move through a hasher's buffer.
+
+/// Absorbs `data`: tops up a buffered partial block, hashes every whole
+/// block straight from the input span, and buffers the remaining tail.
+template <typename ProcessBlock>
+void feed_blocks(std::uint8_t (&buf)[64], std::size_t& buf_len,
+                 std::span<const std::uint8_t> data, ProcessBlock&& process) {
+  if (data.empty()) return;
+  const std::uint8_t* p = data.data();
+  std::size_t n = data.size();
+  if (buf_len > 0) {
+    const std::size_t take = std::min(n, 64 - buf_len);
+    std::memcpy(buf + buf_len, p, take);
+    buf_len += take;
+    p += take;
+    n -= take;
+    if (buf_len < 64) return;
+    process(buf);
+    buf_len = 0;
+  }
+  for (; n >= 64; p += 64, n -= 64) process(p);
+  if (n > 0) {
+    std::memcpy(buf, p, n);
+    buf_len = n;
+  }
+}
+
+/// Pads the buffered tail (0x80, zeros, 64-bit message bit length in the
+/// algorithm's byte order) and hashes the final one or two blocks.
+template <typename ProcessBlock>
+void finish_blocks(std::uint8_t (&buf)[64], std::size_t buf_len, std::uint64_t total_bytes,
+                   bool big_endian_length, ProcessBlock&& process) {
+  buf[buf_len++] = 0x80;
+  if (buf_len > 56) {
+    std::memset(buf + buf_len, 0, 64 - buf_len);
+    process(buf);
+    buf_len = 0;
+  }
+  std::memset(buf + buf_len, 0, 56 - buf_len);
+  const std::uint64_t bit_len = total_bytes * 8;
+  for (int i = 0; i < 8; ++i) {
+    buf[56 + i] = static_cast<std::uint8_t>(bit_len >> (8 * (big_endian_length ? 7 - i : i)));
+  }
+  process(buf);
+}
+
+std::uint32_t load_be32(const std::uint8_t* p) {
+  return (static_cast<std::uint32_t>(p[0]) << 24) | (static_cast<std::uint32_t>(p[1]) << 16) |
+         (static_cast<std::uint32_t>(p[2]) << 8) | static_cast<std::uint32_t>(p[3]);
+}
+
+}  // namespace
 
 // ---------------------------------------------------------------- MD5 ----
 
@@ -88,24 +147,12 @@ void Md5::process_block(const std::uint8_t* block) {
 
 void Md5::update(std::span<const std::uint8_t> data) {
   total_ += data.size();
-  for (std::uint8_t byte : data) {
-    buf_[buf_len_++] = byte;
-    if (buf_len_ == 64) {
-      process_block(buf_);
-      buf_len_ = 0;
-    }
-  }
+  feed_blocks(buf_, buf_len_, data, [this](const std::uint8_t* block) { process_block(block); });
 }
 
 std::array<std::uint8_t, Md5::kDigestSize> Md5::digest() {
-  const std::uint64_t bit_len = total_ * 8;
-  std::uint8_t pad[72] = {0x80};
-  std::size_t pad_len = (buf_len_ < 56) ? 56 - buf_len_ : 120 - buf_len_;
-  update({pad, pad_len});
-  std::uint8_t len_le[8];
-  for (int i = 0; i < 8; ++i) len_le[i] = static_cast<std::uint8_t>(bit_len >> (8 * i));
-  // update() counts the length bytes too, but total_ is no longer used.
-  update({len_le, 8});
+  finish_blocks(buf_, buf_len_, total_, false,
+                [this](const std::uint8_t* block) { process_block(block); });
   std::array<std::uint8_t, kDigestSize> out{};
   for (int i = 0; i < 4; ++i) {
     for (int b = 0; b < 4; ++b) out[static_cast<std::size_t>(i * 4 + b)] = static_cast<std::uint8_t>(h_[i] >> (8 * b));
@@ -124,37 +171,35 @@ Sha1::Sha1() {
 }
 
 void Sha1::process_block(const std::uint8_t* block) {
-  std::uint32_t w[80];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = (static_cast<std::uint32_t>(block[i * 4]) << 24) |
-           (static_cast<std::uint32_t>(block[i * 4 + 1]) << 16) |
-           (static_cast<std::uint32_t>(block[i * 4 + 2]) << 8) |
-           static_cast<std::uint32_t>(block[i * 4 + 3]);
-  }
-  for (int i = 16; i < 80; ++i) w[i] = std::rotl(w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16], 1);
+  // 16-word rolling schedule: round i >= 16 rewrites w[i % 16] in place
+  // from w[i-3], w[i-8], w[i-14] and w[i-16]. One fully unrolled loop per
+  // round function, so no round branches on its index.
+  std::uint32_t w[16];
+  for (int i = 0; i < 16; ++i) w[i] = load_be32(block + 4 * i);
   std::uint32_t a = h_[0], b = h_[1], c = h_[2], d = h_[3], e = h_[4];
-  for (int i = 0; i < 80; ++i) {
-    std::uint32_t f, k;
-    if (i < 20) {
-      f = (b & c) | (~b & d);
-      k = 0x5a827999;
-    } else if (i < 40) {
-      f = b ^ c ^ d;
-      k = 0x6ed9eba1;
-    } else if (i < 60) {
-      f = (b & c) | (b & d) | (c & d);
-      k = 0x8f1bbcdc;
-    } else {
-      f = b ^ c ^ d;
-      k = 0xca62c1d6;
-    }
-    const std::uint32_t tmp = std::rotl(a, 5) + f + e + k + w[i];
+  const auto round = [&](std::uint32_t f, std::uint32_t k, std::uint32_t wi) {
+    const std::uint32_t tmp = std::rotl(a, 5) + f + e + k + wi;
     e = d;
     d = c;
     c = std::rotl(b, 30);
     b = a;
     a = tmp;
-  }
+  };
+  const auto schedule = [&](int i) {
+    std::uint32_t& slot = w[i & 15];
+    slot = std::rotl(w[(i + 13) & 15] ^ w[(i + 8) & 15] ^ w[(i + 2) & 15] ^ slot, 1);
+    return slot;
+  };
+#pragma GCC unroll 16
+  for (int i = 0; i < 16; ++i) round(d ^ (b & (c ^ d)), 0x5a827999, w[i]);
+#pragma GCC unroll 4
+  for (int i = 16; i < 20; ++i) round(d ^ (b & (c ^ d)), 0x5a827999, schedule(i));
+#pragma GCC unroll 20
+  for (int i = 20; i < 40; ++i) round(b ^ c ^ d, 0x6ed9eba1, schedule(i));
+#pragma GCC unroll 20
+  for (int i = 40; i < 60; ++i) round((b & c) | (d & (b | c)), 0x8f1bbcdc, schedule(i));
+#pragma GCC unroll 20
+  for (int i = 60; i < 80; ++i) round(b ^ c ^ d, 0xca62c1d6, schedule(i));
   h_[0] += a;
   h_[1] += b;
   h_[2] += c;
@@ -164,23 +209,12 @@ void Sha1::process_block(const std::uint8_t* block) {
 
 void Sha1::update(std::span<const std::uint8_t> data) {
   total_ += data.size();
-  for (std::uint8_t byte : data) {
-    buf_[buf_len_++] = byte;
-    if (buf_len_ == 64) {
-      process_block(buf_);
-      buf_len_ = 0;
-    }
-  }
+  feed_blocks(buf_, buf_len_, data, [this](const std::uint8_t* block) { process_block(block); });
 }
 
 std::array<std::uint8_t, Sha1::kDigestSize> Sha1::digest() {
-  const std::uint64_t bit_len = total_ * 8;
-  std::uint8_t pad[72] = {0x80};
-  std::size_t pad_len = (buf_len_ < 56) ? 56 - buf_len_ : 120 - buf_len_;
-  update({pad, pad_len});
-  std::uint8_t len_be[8];
-  for (int i = 0; i < 8; ++i) len_be[i] = static_cast<std::uint8_t>(bit_len >> (8 * (7 - i)));
-  update({len_be, 8});
+  finish_blocks(buf_, buf_len_, total_, true,
+                [this](const std::uint8_t* block) { process_block(block); });
   std::array<std::uint8_t, kDigestSize> out{};
   for (int i = 0; i < 5; ++i) {
     for (int b = 0; b < 4; ++b) {
@@ -217,12 +251,7 @@ Sha256::Sha256() {
 
 void Sha256::process_block(const std::uint8_t* block) {
   std::uint32_t w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = (static_cast<std::uint32_t>(block[i * 4]) << 24) |
-           (static_cast<std::uint32_t>(block[i * 4 + 1]) << 16) |
-           (static_cast<std::uint32_t>(block[i * 4 + 2]) << 8) |
-           static_cast<std::uint32_t>(block[i * 4 + 3]);
-  }
+  for (int i = 0; i < 16; ++i) w[i] = load_be32(block + 4 * i);
   for (int i = 16; i < 64; ++i) {
     const std::uint32_t s0 = std::rotr(w[i - 15], 7) ^ std::rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
     const std::uint32_t s1 = std::rotr(w[i - 2], 17) ^ std::rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
@@ -258,23 +287,12 @@ void Sha256::process_block(const std::uint8_t* block) {
 
 void Sha256::update(std::span<const std::uint8_t> data) {
   total_ += data.size();
-  for (std::uint8_t byte : data) {
-    buf_[buf_len_++] = byte;
-    if (buf_len_ == 64) {
-      process_block(buf_);
-      buf_len_ = 0;
-    }
-  }
+  feed_blocks(buf_, buf_len_, data, [this](const std::uint8_t* block) { process_block(block); });
 }
 
 std::array<std::uint8_t, Sha256::kDigestSize> Sha256::digest() {
-  const std::uint64_t bit_len = total_ * 8;
-  std::uint8_t pad[72] = {0x80};
-  std::size_t pad_len = (buf_len_ < 56) ? 56 - buf_len_ : 120 - buf_len_;
-  update({pad, pad_len});
-  std::uint8_t len_be[8];
-  for (int i = 0; i < 8; ++i) len_be[i] = static_cast<std::uint8_t>(bit_len >> (8 * (7 - i)));
-  update({len_be, 8});
+  finish_blocks(buf_, buf_len_, total_, true,
+                [this](const std::uint8_t* block) { process_block(block); });
   std::array<std::uint8_t, kDigestSize> out{};
   for (int i = 0; i < 8; ++i) {
     for (int b = 0; b < 4; ++b) {

@@ -234,11 +234,13 @@ Bytes x509_thumbprint(std::span<const std::uint8_t> der_bytes) {
 }
 
 std::uint64_t certificate_fingerprint64(std::span<const std::uint8_t> der_bytes) {
-  const Bytes thumb = x509_thumbprint(der_bytes);
+  // Stack digest, no Bytes: this runs per dictionary entry on every
+  // snapshot open and write.
+  Sha1 sha;
+  sha.update(der_bytes);
+  const auto thumb = sha.digest();
   std::uint64_t fp = 0;
-  for (std::size_t i = 0; i < 8 && i < thumb.size(); ++i) {
-    fp = (fp << 8) | thumb[i];
-  }
+  for (std::size_t i = 0; i < 8; ++i) fp = (fp << 8) | thumb[i];
   return fp;
 }
 

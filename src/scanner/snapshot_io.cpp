@@ -12,6 +12,7 @@
 #include "obs/metrics.hpp"
 #include "opcua/encoding.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #define OPCUA_STUDY_HAVE_MMAP 1
@@ -1352,7 +1353,28 @@ void SnapshotReader::open_v6(std::uint64_t file_size) {
 
   // Certificate dictionary: every entry's stored fingerprint must match a
   // recomputation from its DER — a flipped bit in either fails the open.
+  // The structural walk is serial; the recomputation runs on a pool in
+  // fixed blocks of entries and reports the lowest mismatching entry. A
+  // structural error is reported only when no entry before it mismatches,
+  // so the error is always the one a sequential entry-by-entry check
+  // meets first, for any thread count.
   try {
+    const auto verify_fingerprints = [&] {
+      std::vector<char> mismatch(dict_.size(), 0);
+      ThreadPool(0).parallel_for_blocks(
+          dict_.size(), kDictBlock, [&](std::size_t begin, std::size_t end) {
+            for (std::size_t i = begin; i < end; ++i) {
+              const DictEntry& entry = dict_[i];
+              mismatch[i] = certificate_fingerprint64({data_ + entry.offset, entry.length}) !=
+                            entry.fp64;
+            }
+          });
+      const auto bad = std::find(mismatch.begin(), mismatch.end(), 1);
+      if (bad != mismatch.end()) {
+        throw DecodeError("dictionary entry " + std::to_string(bad - mismatch.begin()) +
+                          " fingerprint mismatch");
+      }
+    };
     UaReader d(std::span<const std::uint8_t>(data_ + dict_offset,
                                              static_cast<std::size_t>(dict_bytes)));
     if (d.u32() != kDictMagic) throw DecodeError("bad certificate dictionary magic");
@@ -1362,22 +1384,25 @@ void SnapshotReader::open_v6(std::uint64_t file_size) {
                         " entries but the footer indexes " + std::to_string(dict_count));
     }
     dict_.reserve(count);
-    for (std::uint32_t i = 0; i < count; ++i) {
-      DictEntry entry;
-      entry.fp64 = d.u64();
-      const std::int32_t length = d.i32();
-      if (length <= 0) {
-        throw DecodeError("dictionary entry " + std::to_string(i) + " has no DER bytes");
+    try {
+      for (std::uint32_t i = 0; i < count; ++i) {
+        DictEntry entry;
+        entry.fp64 = d.u64();
+        const std::int32_t length = d.i32();
+        if (length <= 0) {
+          throw DecodeError("dictionary entry " + std::to_string(i) + " has no DER bytes");
+        }
+        entry.length = static_cast<std::uint32_t>(length);
+        entry.offset = dict_offset + d.base().position();
+        d.base().view(entry.length);  // bounds check only
+        dict_.push_back(entry);
       }
-      entry.length = static_cast<std::uint32_t>(length);
-      entry.offset = dict_offset + d.base().position();
-      const auto der = d.base().view(entry.length);
-      if (certificate_fingerprint64(der) != entry.fp64) {
-        throw DecodeError("dictionary entry " + std::to_string(i) + " fingerprint mismatch");
-      }
-      dict_.push_back(entry);
+      if (!d.done()) throw DecodeError("trailing bytes in certificate dictionary");
+    } catch (const DecodeError&) {
+      verify_fingerprints();  // an earlier mismatch takes precedence
+      throw;
     }
-    if (!d.done()) throw DecodeError("trailing bytes in certificate dictionary");
+    verify_fingerprints();
   } catch (const DecodeError& e) {
     std::uint32_t mask = 0;
     for (const auto& meta : snapshots_) mask |= meta.protocol_mask;

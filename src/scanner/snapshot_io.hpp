@@ -354,6 +354,10 @@ class SnapshotReader {
   ColumnView column_view(std::size_t chunk_index) const;
 
   /// v6 certificate dictionary: deduplicated DER in id order.
+  /// kDictBlock consecutive entries are one unit of parallel work for the
+  /// per-entry dictionary passes: open-time fingerprint verification and
+  /// the analysis and posture certificate caches.
+  static constexpr std::size_t kDictBlock = 128;
   std::size_t cert_count() const { return dict_.size(); }
   std::span<const std::uint8_t> cert_der(std::uint32_t cert_id) const;
   std::uint64_t cert_fp64(std::uint32_t cert_id) const { return dict_.at(cert_id).fp64; }

@@ -60,21 +60,26 @@ struct DictPostureEntry {
   std::size_t key_bits = 0;
 };
 
-std::vector<DictPostureEntry> build_posture_dict(const SnapshotReader& reader) {
-  std::vector<DictPostureEntry> dict;
-  dict.reserve(reader.cert_count());
-  for (std::uint32_t id = 0; id < reader.cert_count(); ++id) {
-    DictPostureEntry entry;
-    entry.fp64 = reader.cert_fp64(id);
-    try {
-      const Certificate cert = x509_parse(reader.cert_der(id));
-      entry.parsed = true;
-      entry.hash = cert.signature_hash;
-      entry.key_bits = cert.key_bits();
-    } catch (const DecodeError&) {
-    }
-    dict.push_back(entry);
-  }
+/// Built in dictionary blocks on `pool`, each entry into its own slot by
+/// id, so the result is identical for any thread count.
+std::vector<DictPostureEntry> build_posture_dict(const SnapshotReader& reader,
+                                                 const ThreadPool& pool) {
+  std::vector<DictPostureEntry> dict(reader.cert_count());
+  pool.parallel_for_blocks(
+      dict.size(), SnapshotReader::kDictBlock, [&](std::size_t begin, std::size_t end) {
+        for (std::size_t id = begin; id < end; ++id) {
+          const auto cert_id = static_cast<std::uint32_t>(id);
+          DictPostureEntry& entry = dict[id];
+          entry.fp64 = reader.cert_fp64(cert_id);
+          try {
+            const Certificate cert = x509_parse(reader.cert_der(cert_id));
+            entry.parsed = true;
+            entry.hash = cert.signature_hash;
+            entry.key_bits = cert.key_bits();
+          } catch (const DecodeError&) {
+          }
+        }
+      });
   return dict;
 }
 
@@ -198,7 +203,7 @@ std::vector<HostPosture> collect_postures(const RecordSource& source, ThreadPool
   postures.reserve(source.week_meta(final_week).host_count);
   const SnapshotReader* col = source.columnar_reader();
   std::vector<DictPostureEntry> dict;
-  if (col != nullptr) dict = build_posture_dict(*col);
+  if (col != nullptr) dict = build_posture_dict(*col, pool);
   // Early prefix merge: completed chunk partials are appended (in chunk
   // order) and freed while later chunks are still being absorbed.
   pool.parallel_for_merged(

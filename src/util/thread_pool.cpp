@@ -34,9 +34,11 @@ void ThreadPool::parallel_for(std::size_t n, const std::function<void(std::size_
     return;
   }
 
-  // Fork-join per call: the jobs routed here (RSA keygen, product-tree
-  // levels) cost milliseconds to seconds per index, so thread start-up is
-  // noise and a persistent worker set would only add lifecycle complexity.
+  // Fork-join per call: the jobs routed here cost from sub-millisecond
+  // dictionary blocks (parallel_for_blocks) up to seconds per index (RSA
+  // keygen, product-tree levels). A thread start-up is tens of
+  // microseconds, which even the shortest job amortizes over its blocks,
+  // so a persistent worker set would only add lifecycle complexity.
   std::atomic<std::size_t> next{0};
   std::atomic<bool> failed{false};
   std::exception_ptr first_error;
@@ -62,6 +64,15 @@ void ThreadPool::parallel_for(std::size_t n, const std::function<void(std::size_
   body();  // the caller is worker zero
   for (auto& thread : pool) thread.join();
   if (first_error) std::rethrow_exception(first_error);
+}
+
+void ThreadPool::parallel_for_blocks(
+    std::size_t n, std::size_t block,
+    const std::function<void(std::size_t, std::size_t)>& fn) const {
+  parallel_for((n + block - 1) / block, [&](std::size_t b) {
+    const std::size_t begin = b * block;
+    fn(begin, std::min(n, begin + block));
+  });
 }
 
 void ThreadPool::parallel_for_merged(std::size_t n, const std::function<void(std::size_t)>& fn,

@@ -1,11 +1,12 @@
-// Fork-join data parallelism for the crypto fast path.
+// Fork-join data parallelism for the crypto fast path and the read side.
 //
 // Everything parallelized through this pool is *deterministic by
 // construction*: callers only hand it pure functions writing disjoint
 // output slots (per-label RSA key streams, product-tree nodes, remainder
-// -tree reductions), so results are independent of thread count and
-// scheduling. The pool itself therefore needs no ordering guarantees —
-// workers pull indices from an atomic counter.
+// -tree reductions, per-entry certificate-dictionary checks and parses),
+// so results are independent of thread count and scheduling. The pool
+// itself therefore needs no ordering guarantees — workers pull indices
+// from an atomic counter.
 #pragma once
 
 #include <atomic>
@@ -35,6 +36,16 @@ class ThreadPool {
   /// the failing index in an error message read last_error_index() and
   /// re-wrap at their own layer.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn) const;
+
+  /// parallel_for over [0, n) cut into fixed blocks of `block` (> 0)
+  /// consecutive indices: fn(begin, end) runs once per block. Block
+  /// boundaries depend only on n and `block`, never on the thread count,
+  /// so per-index work that is far cheaper than a pool claim (hashing or
+  /// parsing one dictionary certificate) batches into claims worth
+  /// scheduling. n <= block runs inline on the caller; an exception
+  /// surfaces as in parallel_for, with last_error_index() naming the block.
+  void parallel_for_blocks(std::size_t n, std::size_t block,
+                           const std::function<void(std::size_t, std::size_t)>& fn) const;
 
   /// parallel_for with an ordered early drain: fn(i) runs in parallel as
   /// above, and merge(i) is called exactly once per index — serialized,

@@ -35,6 +35,22 @@ TEST(Sha256, KnownVectors) {
             "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
 }
 
+TEST(Md5, MillionAs) {
+  Md5 h;
+  const Bytes chunk(1000, 'a');
+  for (int i = 0; i < 1000; ++i) h.update(chunk);
+  auto d = h.digest();
+  EXPECT_EQ(to_hex(Bytes(d.begin(), d.end())), "7707d6ae4e027c70eea2a935c2296f21");
+}
+
+TEST(Sha1, MillionAs) {
+  Sha1 h;
+  const Bytes chunk(1000, 'a');
+  for (int i = 0; i < 1000; ++i) h.update(chunk);
+  auto d = h.digest();
+  EXPECT_EQ(to_hex(Bytes(d.begin(), d.end())), "34aa973cd4c4daa4f61eeb2bdbad27316534016f");
+}
+
 TEST(Sha256, MillionAs) {
   Sha256 h;
   const Bytes chunk(1000, 'a');
@@ -53,7 +69,10 @@ TEST(HashProperties, DigestSizes) {
 
 class HashChunking : public ::testing::TestWithParam<std::tuple<HashAlgorithm, std::size_t>> {};
 
-// Streaming in arbitrary chunk sizes must match one-shot hashing.
+// Streaming in arbitrary chunk sizes must match one-shot hashing. Sizes
+// above 64 that are not multiples of it (100, 130, 200) leave a buffered
+// partial block that the next update tops up before hashing whole blocks
+// straight from its input.
 TEST_P(HashChunking, StreamingEqualsOneShot) {
   const auto [alg, chunk_size] = GetParam();
   Rng rng(42);
@@ -99,7 +118,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(HashAlgorithm::md5, HashAlgorithm::sha1,
                                          HashAlgorithm::sha256),
                        ::testing::Values(std::size_t{1}, std::size_t{7}, std::size_t{63},
-                                         std::size_t{64}, std::size_t{65}, std::size_t{512})));
+                                         std::size_t{64}, std::size_t{65}, std::size_t{100},
+                                         std::size_t{130}, std::size_t{200}, std::size_t{512})));
 
 // Hash padding boundaries: lengths around the 56/64-byte block edges are the
 // classic off-by-one spots.

@@ -3,7 +3,9 @@
 //    v4 and v5 files still load, and rewriting either as v6 preserves
 //    every record byte-deterministically,
 //  - truncated / corrupt files fail with SnapshotError instead of
-//    yielding garbage records; out-of-range dictionary ids are rejected,
+//    yielding garbage records; out-of-range dictionary ids are rejected;
+//    a dictionary spanning several parallel verify blocks reports the
+//    lowest corrupt entry on every run,
 //  - the streaming Aggregator is deterministic in the thread count and
 //    input format and bit-identical to the assess/ reference
 //    implementations (the v6 columnar fast path included).
@@ -15,7 +17,9 @@
 #include "analysis/analysis.hpp"
 #include "assess/assess.hpp"
 #include "crypto/keycache.hpp"
+#include "diff/diff.hpp"
 #include "scanner/snapshot_io.hpp"
+#include "series/series.hpp"
 #include "util/date.hpp"
 
 namespace opcua_study {
@@ -421,6 +425,151 @@ TEST(SnapshotV6, CertDictionaryCorruptionRejected) {
   }
 
   std::remove(path.c_str());
+  std::remove(bad_path.c_str());
+}
+
+/// One DER per host: `count` distinct certificates signed by one key, so
+/// a dictionary spans several SnapshotReader::kDictBlock verify blocks.
+std::vector<Bytes> distinct_cert_corpus(std::size_t count) {
+  KeyFactory keys(778, "");
+  const RsaKeyPair kp = keys.get("pipe-test-blocks", 512);
+  std::vector<Bytes> ders;
+  for (std::size_t i = 0; i < count; ++i) {
+    CertificateSpec spec;
+    spec.subject = {"block device " + std::to_string(i), i % 3 ? "Test Org" : "Bachmann electronic",
+                    "DE"};
+    spec.signature_hash = i % 2 ? HashAlgorithm::sha1 : HashAlgorithm::sha256;
+    spec.serial = Bignum{static_cast<std::uint64_t>(1000 + i)};
+    spec.not_before_days = days_from_civil({2018 + static_cast<int>(i % 3), 1, 1});
+    spec.not_after_days = spec.not_before_days + 3650;
+    spec.application_uri = "urn:test:block:" + std::to_string(i);
+    ders.push_back(x509_create(spec, kp.pub, kp.priv));
+  }
+  return ders;
+}
+
+/// A one-measurement campaign whose host i carries certs[i % size]: the
+/// dictionary interns the corpus in id order. The follow-up drops some
+/// hosts, moves some to new addresses and rotates a few certificates.
+std::vector<ScanSnapshot> block_campaign(const std::vector<Bytes>& certs, std::size_t hosts,
+                                         int week) {
+  ScanSnapshot snapshot;
+  snapshot.measurement_index = week;
+  snapshot.date_days = days_from_civil({2020, 2, 9}) + 28 * week;
+  for (std::size_t i = 0; i < hosts; ++i) {
+    if (week > 0 && i % 17 == 0) continue;
+    HostScanRecord host = make_host(i, week);
+    if (week > 0 && i % 19 == 0) host.ip += 0x100000;
+    const std::size_t rotate = (week > 0 && i % 13 == 0) ? 1 : 0;
+    host.endpoints.front().certificate_der = certs[(i + rotate) % certs.size()];
+    snapshot.hosts.push_back(std::move(host));
+  }
+  return {snapshot};
+}
+
+/// Byte offset of dictionary entry `index`'s DER (entries: u64 fp64,
+/// i32 length, DER).
+std::size_t v6_dict_der_offset(const Bytes& b, std::size_t index) {
+  std::size_t at = v6_dict_offset(b) + 8;
+  for (std::size_t i = 0; i < index; ++i) at += 12 + read_le32(b, at + 8);
+  return at + 12;
+}
+
+TEST(SnapshotV6, MultiBlockDictionaryVerifiesInParallel) {
+  constexpr std::size_t kBlock = SnapshotReader::kDictBlock;
+  const std::vector<Bytes> certs = distinct_cert_corpus(3 * kBlock + 40);
+  const std::string base_path = "/tmp/opcua_test_v6_blocks_0.bin";
+  const std::string next_path = "/tmp/opcua_test_v6_blocks_1.bin";
+  const std::string bad_path = "/tmp/opcua_test_v6_blocks_bad.bin";
+  save_snapshots(base_path, 42, block_campaign(certs, certs.size() + 60, 0));
+  save_snapshots(next_path, 42, block_campaign(certs, certs.size() + 60, 1));
+
+  {
+    // Clean open: every entry verifies, ids stay in first-appearance order.
+    const SnapshotReader reader(base_path, 42);
+    ASSERT_EQ(reader.cert_count(), certs.size());
+    ASSERT_GE(reader.cert_count(), 3 * kBlock + 1);
+    for (std::uint32_t id = 0; id < reader.cert_count(); ++id) {
+      EXPECT_EQ(reader.cert_fp64(id), certificate_fingerprint64(certs[id])) << id;
+    }
+  }
+
+  const Bytes full = read_file_bytes(base_path);
+  const std::size_t low = kBlock + 5;       // in block 1
+  const std::size_t high = 2 * kBlock + 7;  // in block 2
+  const auto open_error = [&](const Bytes& mutated) {
+    write_file_bytes(bad_path, mutated);
+    try {
+      const SnapshotReader reader(bad_path, 42);
+    } catch (const SnapshotError& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  const auto names = [](const std::string& error, std::size_t entry) {
+    return error.find("dictionary entry " + std::to_string(entry) + " fingerprint mismatch") !=
+           std::string::npos;
+  };
+
+  // Two corrupt DERs in different blocks: the lower entry is named on
+  // every run, whichever block a worker finishes first.
+  Bytes two_bad = full;
+  two_bad[v6_dict_der_offset(full, low) + 9] ^= 0x04;
+  two_bad[v6_dict_der_offset(full, high) + 9] ^= 0x04;
+  for (int run = 0; run < 20; ++run) {
+    const std::string error = open_error(two_bad);
+    EXPECT_TRUE(names(error, low)) << "run " << run << ": " << error;
+  }
+  Bytes high_bad = full;
+  high_bad[v6_dict_der_offset(full, high) + 9] ^= 0x04;
+  EXPECT_TRUE(names(open_error(high_bad), high));
+
+  // A structural error after a corrupt DER still reports the DER: the
+  // error a sequential entry-by-entry check would meet first.
+  Bytes then_zero_length = full;
+  then_zero_length[v6_dict_der_offset(full, low) + 9] ^= 0x04;
+  write_le32(then_zero_length, v6_dict_der_offset(full, high) - 4, 0);
+  EXPECT_TRUE(names(open_error(then_zero_length), low));
+  Bytes zero_length = full;
+  write_le32(zero_length, v6_dict_der_offset(full, high) - 4, 0);
+  EXPECT_NE(open_error(zero_length).find("dictionary entry " + std::to_string(high) +
+                                         " has no DER bytes"),
+            std::string::npos);
+
+  // The block-parallel dictionary caches give the same answers at any
+  // thread count.
+  AnalysisOptions study1;
+  study1.threads = 1;
+  AnalysisOptions study4;
+  study4.threads = 4;
+  {
+    const SnapshotReader reader(base_path, 42);
+    const StudyAnalysis one = analyze_reader(reader, study1);
+    EXPECT_TRUE(analyze_reader(reader, study4).figures_equal(one));
+    EXPECT_GT(one.reuse.distinct_certificates, static_cast<int>(3 * kBlock));
+  }
+  DiffOptions diff1;
+  diff1.threads = 1;
+  DiffOptions diff4;
+  diff4.threads = 4;
+  const CampaignDiff diff = diff_files(base_path, 42, next_path, 42, diff1);
+  EXPECT_GT(diff.matched_by_certificate, 0u);  // moved hosts re-identified
+  EXPECT_EQ(campaign_diff_json(diff_files(base_path, 42, next_path, 42, diff4)),
+            campaign_diff_json(diff));
+
+  CampaignSet set;
+  set.add_file(base_path, 42);
+  set.add_file(next_path, 42);
+  SeriesOptions series1;
+  series1.threads = 1;
+  series1.use_sketches = false;
+  SeriesOptions series4 = series1;
+  series4.threads = 4;
+  EXPECT_EQ(series_analysis_json(analyze_series(set, series4)),
+            series_analysis_json(analyze_series(set, series1)));
+
+  std::remove(base_path.c_str());
+  std::remove(next_path.c_str());
   std::remove(bad_path.c_str());
 }
 
