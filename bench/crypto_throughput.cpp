@@ -1,18 +1,23 @@
 // Crypto fast-path throughput: the 64-bit limb core vs. the retired
-// 32-bit core, plus the batch-GCD scaling curve.
+// 32-bit core, the T-table AES kernel vs. the retired byte-wise one, plus
+// the batch-GCD scaling curve.
 //
-// Three measurements drive the §5.3 / deployment hot paths:
+// Four measurements drive the §5.3 / deployment / scan hot paths:
 //  - keygen:   2048-bit RSA key generation (the deployment wall-clock
 //              driver — windowed Montgomery + packed sieve vs. the old
 //              ladder + per-prime trial division),
 //  - modexp:   2048-bit modular exponentiation (the secure-channel and
 //              signature primitive),
+//  - aes_cbc:  AES-128-CBC encrypt + decrypt of one buffer (every secured
+//              MSG chunk of an address-space traversal), best of
+//              interleaved repetitions per kernel,
 //  - batchgcd: shared-prime sweep time vs. modulus count (product +
 //              remainder trees on 512-bit moduli), checked for clearly
 //              sub-quadratic growth — the property that makes a 100k-host
 //              corpus feasible where pairwise GCD is O(n²).
 // Both cores consume the same Rng streams, so the bench also *asserts*
-// the determinism invariant: old and new generate bit-identical keys.
+// the determinism invariant: old and new generate bit-identical keys (and
+// both AES kernels identical ciphertext).
 // Results are emitted to BENCH_crypto.json for trend tracking.
 //
 //   ./build/crypto_throughput [--quick] [--json PATH] [max_moduli]
@@ -24,8 +29,10 @@
 #include <string>
 #include <vector>
 
+#include "crypto/aes.hpp"
 #include "crypto/batch_gcd.hpp"
 #include "crypto/rsa.hpp"
+#include "legacy_aes_bytewise.hpp"
 #include "legacy_bignum32.hpp"
 #include "report/report.hpp"
 #include "obs/log.hpp"
@@ -116,6 +123,35 @@ int main(int argc, char** argv) {
   all_equal &= new_result == new_from_legacy(old_result);
   const double modexp_ratio = modexp_old_s / std::max(modexp_new_s, 1e-12);
 
+  // ---- AES-128-CBC: T-table kernel vs. the byte-wise one -----------------
+  const std::size_t aes_bytes = quick ? std::size_t{1} << 20 : std::size_t{8} << 20;
+  const int aes_reps = quick ? 5 : 7;
+  Rng aes_rng(kSeed ^ 0x6165);  // "ae"
+  const Bytes aes_key = aes_rng.bytes(16);
+  const Bytes aes_iv = aes_rng.bytes(16);
+  const Bytes aes_plain = aes_rng.bytes(aes_bytes);
+  obs::logf(obs::LogLevel::info, "[bench] AES-128-CBC: %d interleaved reps over %zu bytes...",
+            aes_reps, aes_bytes);
+  double aes_new_s = 1e30;
+  double aes_old_s = 1e30;
+  bool aes_identical = true;
+  for (int rep = 0; rep < aes_reps; ++rep) {
+    start = std::chrono::steady_clock::now();
+    const Bytes new_cipher = aes_cbc_encrypt(aes_key, aes_iv, aes_plain);
+    const Bytes new_plain = aes_cbc_decrypt(aes_key, aes_iv, new_cipher);
+    aes_new_s = std::min(aes_new_s, seconds_since(start));
+    start = std::chrono::steady_clock::now();
+    const Bytes old_cipher = legacy_aes::cbc_encrypt(aes_key, aes_iv, aes_plain);
+    const Bytes old_plain = legacy_aes::cbc_decrypt(aes_key, aes_iv, old_cipher);
+    aes_old_s = std::min(aes_old_s, seconds_since(start));
+    aes_identical &= new_cipher == old_cipher && new_plain == aes_plain && old_plain == aes_plain;
+  }
+  all_equal &= aes_identical;
+  const double aes_ratio = aes_old_s / std::max(aes_new_s, 1e-12);
+  // Megabytes through the cipher per second, encrypt and decrypt counted.
+  const double aes_new_mb_s = 2e-6 * static_cast<double>(aes_bytes) / std::max(aes_new_s, 1e-12);
+  const double aes_old_mb_s = 2e-6 * static_cast<double>(aes_bytes) / std::max(aes_old_s, 1e-12);
+
   // ---- batch-GCD scaling: 512-bit moduli --------------------------------
   std::vector<std::size_t> counts = quick ? std::vector<std::size_t>{250, 1000, 4000}
                                           : std::vector<std::size_t>{1000, 10000, 100000};
@@ -178,13 +214,15 @@ int main(int argc, char** argv) {
       std::log(static_cast<double>(scale.back().count) / static_cast<double>(scale.front().count));
 
   // ---- report -----------------------------------------------------------
-  std::puts("Crypto fast path (64-bit limb core vs. legacy 32-bit core)\n");
+  std::puts("Crypto fast path (64-bit limb core and T-table AES vs. their legacy kernels)\n");
   TextTable table;
   table.set_header({"primitive", "new", "old", "speedup"});
   table.add_row({"2048-bit keygen", fmt_double(1.0 / keygen_new_s, 2) + " keys/s",
                  fmt_double(1.0 / keygen_old_s, 2) + " keys/s", fmt_double(keygen_ratio, 1) + "x"});
   table.add_row({"2048-bit modexp", fmt_double(1.0 / modexp_new_s, 1) + " ops/s",
                  fmt_double(1.0 / modexp_old_s, 1) + " ops/s", fmt_double(modexp_ratio, 1) + "x"});
+  table.add_row({"AES-128-CBC enc+dec", fmt_double(aes_new_mb_s, 1) + " MB/s",
+                 fmt_double(aes_old_mb_s, 1) + " MB/s", fmt_double(aes_ratio, 1) + "x"});
   table.add_row({"batch-GCD (" + fmt_int(static_cast<long>(counts.front())) + " moduli)",
                  fmt_double(scale.front().seconds, 3) + " s", fmt_double(batch_old_s, 3) + " s",
                  fmt_double(batch_ratio, 1) + "x"});
@@ -204,6 +242,10 @@ int main(int argc, char** argv) {
        all_equal ? "equal" : "MISMATCH", all_equal},
       {"2048-bit keygen speedup", ">= 5x", fmt_double(keygen_ratio, 1) + "x", keygen_ratio >= 5.0},
       {"2048-bit modexp speedup", ">= 4x", fmt_double(modexp_ratio, 1) + "x", modexp_ratio >= 4.0},
+      {"AES-CBC old and new kernels produce identical ciphertext", "equal",
+       aes_identical ? "equal" : "MISMATCH", aes_identical},
+      {"AES-128-CBC speedup (encrypt + decrypt)", ">= 4x", fmt_double(aes_ratio, 1) + "x",
+       aes_ratio >= 4.0},
       // Karatsuba-backed trees give t ~ n^1.3..1.5 (log factors included);
       // pairwise GCD is exactly 2. 1.6 keeps the check robust to memory
       // pressure on the 100k point while still pinning sub-quadratic.
@@ -223,6 +265,10 @@ int main(int argc, char** argv) {
          << "  \"modexp_2048\": {\"new_ops_per_sec\": " << 1.0 / modexp_new_s
          << ", \"old_ops_per_sec\": " << 1.0 / modexp_old_s << ", \"speedup\": " << modexp_ratio
          << "},\n"
+         << "  \"aes_cbc\": {\"key_bits\": 128, \"bytes\": " << aes_bytes
+         << ", \"new_mb_per_sec\": " << aes_new_mb_s << ", \"old_mb_per_sec\": " << aes_old_mb_s
+         << ", \"speedup\": " << aes_ratio
+         << ", \"identical_ciphertext\": " << (aes_identical ? "true" : "false") << "},\n"
          << "  \"batch_gcd\": {\"modulus_bits\": 512, \"points\": [";
     for (std::size_t i = 0; i < scale.size(); ++i) {
       json << (i ? ", " : "") << "{\"count\": " << scale[i].count

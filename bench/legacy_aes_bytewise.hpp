@@ -1,0 +1,201 @@
+// The retired byte-wise AES, embedded as the baseline for
+// bench/crypto_throughput.cpp.
+//
+// This is the block cipher the library shipped before the T-table kernel:
+// SubBytes / ShiftRows / MixColumns one byte at a time, no lookup tables
+// beyond the S-box, and InvMixColumns through a bit-serial GF(2^8)
+// multiply. Keeping it compilable gives the bench an honest old-vs-new
+// AES-CBC ratio and lets it assert that both kernels produce identical
+// ciphertext and plaintext. Bench-only: never link this into the library.
+#pragma once
+
+#include <array>
+#include <cstdint>
+#include <cstring>
+#include <span>
+#include <stdexcept>
+
+#include "util/bytes.hpp"
+
+namespace opcua_study::legacy_aes {
+
+inline constexpr std::uint8_t kSbox[256] = {
+    0x63, 0x7c, 0x77, 0x7b, 0xf2, 0x6b, 0x6f, 0xc5, 0x30, 0x01, 0x67, 0x2b, 0xfe, 0xd7, 0xab,
+    0x76, 0xca, 0x82, 0xc9, 0x7d, 0xfa, 0x59, 0x47, 0xf0, 0xad, 0xd4, 0xa2, 0xaf, 0x9c, 0xa4,
+    0x72, 0xc0, 0xb7, 0xfd, 0x93, 0x26, 0x36, 0x3f, 0xf7, 0xcc, 0x34, 0xa5, 0xe5, 0xf1, 0x71,
+    0xd8, 0x31, 0x15, 0x04, 0xc7, 0x23, 0xc3, 0x18, 0x96, 0x05, 0x9a, 0x07, 0x12, 0x80, 0xe2,
+    0xeb, 0x27, 0xb2, 0x75, 0x09, 0x83, 0x2c, 0x1a, 0x1b, 0x6e, 0x5a, 0xa0, 0x52, 0x3b, 0xd6,
+    0xb3, 0x29, 0xe3, 0x2f, 0x84, 0x53, 0xd1, 0x00, 0xed, 0x20, 0xfc, 0xb1, 0x5b, 0x6a, 0xcb,
+    0xbe, 0x39, 0x4a, 0x4c, 0x58, 0xcf, 0xd0, 0xef, 0xaa, 0xfb, 0x43, 0x4d, 0x33, 0x85, 0x45,
+    0xf9, 0x02, 0x7f, 0x50, 0x3c, 0x9f, 0xa8, 0x51, 0xa3, 0x40, 0x8f, 0x92, 0x9d, 0x38, 0xf5,
+    0xbc, 0xb6, 0xda, 0x21, 0x10, 0xff, 0xf3, 0xd2, 0xcd, 0x0c, 0x13, 0xec, 0x5f, 0x97, 0x44,
+    0x17, 0xc4, 0xa7, 0x7e, 0x3d, 0x64, 0x5d, 0x19, 0x73, 0x60, 0x81, 0x4f, 0xdc, 0x22, 0x2a,
+    0x90, 0x88, 0x46, 0xee, 0xb8, 0x14, 0xde, 0x5e, 0x0b, 0xdb, 0xe0, 0x32, 0x3a, 0x0a, 0x49,
+    0x06, 0x24, 0x5c, 0xc2, 0xd3, 0xac, 0x62, 0x91, 0x95, 0xe4, 0x79, 0xe7, 0xc8, 0x37, 0x6d,
+    0x8d, 0xd5, 0x4e, 0xa9, 0x6c, 0x56, 0xf4, 0xea, 0x65, 0x7a, 0xae, 0x08, 0xba, 0x78, 0x25,
+    0x2e, 0x1c, 0xa6, 0xb4, 0xc6, 0xe8, 0xdd, 0x74, 0x1f, 0x4b, 0xbd, 0x8b, 0x8a, 0x70, 0x3e,
+    0xb5, 0x66, 0x48, 0x03, 0xf6, 0x0e, 0x61, 0x35, 0x57, 0xb9, 0x86, 0xc1, 0x1d, 0x9e, 0xe1,
+    0xf8, 0x98, 0x11, 0x69, 0xd9, 0x8e, 0x94, 0x9b, 0x1e, 0x87, 0xe9, 0xce, 0x55, 0x28, 0xdf,
+    0x8c, 0xa1, 0x89, 0x0d, 0xbf, 0xe6, 0x42, 0x68, 0x41, 0x99, 0x2d, 0x0f, 0xb0, 0x54, 0xbb,
+    0x16};
+
+inline constexpr std::uint8_t kRcon[11] = {0x00, 0x01, 0x02, 0x04, 0x08, 0x10,
+                                           0x20, 0x40, 0x80, 0x1b, 0x36};
+
+inline std::uint8_t inv_sbox(std::uint8_t v) {
+  static const auto table = [] {
+    std::array<std::uint8_t, 256> t{};
+    for (int i = 0; i < 256; ++i) t[kSbox[i]] = static_cast<std::uint8_t>(i);
+    return t;
+  }();
+  return table[v];
+}
+
+inline std::uint8_t xtime(std::uint8_t x) {
+  return static_cast<std::uint8_t>((x << 1) ^ ((x >> 7) * 0x1b));
+}
+
+inline std::uint8_t gmul(std::uint8_t a, std::uint8_t b) {
+  std::uint8_t p = 0;
+  for (int i = 0; i < 8; ++i) {
+    if (b & 1) p ^= a;
+    a = xtime(a);
+    b >>= 1;
+  }
+  return p;
+}
+
+class Aes {
+ public:
+  explicit Aes(std::span<const std::uint8_t> key);
+  void encrypt_block(const std::uint8_t in[16], std::uint8_t out[16]) const;
+  void decrypt_block(const std::uint8_t in[16], std::uint8_t out[16]) const;
+
+ private:
+  int rounds_ = 0;
+  std::uint8_t round_keys_[15 * 16] = {};
+};
+
+inline Aes::Aes(std::span<const std::uint8_t> key) {
+  const std::size_t nk = key.size() / 4;
+  if (key.size() != 16 && key.size() != 24 && key.size() != 32) {
+    throw std::invalid_argument("AES key must be 16/24/32 bytes");
+  }
+  rounds_ = static_cast<int>(nk) + 6;
+  const std::size_t total_words = 4 * static_cast<std::size_t>(rounds_ + 1);
+  std::uint8_t w[60][4];
+  for (std::size_t i = 0; i < nk; ++i) {
+    for (int b = 0; b < 4; ++b) w[i][b] = key[i * 4 + static_cast<std::size_t>(b)];
+  }
+  for (std::size_t i = nk; i < total_words; ++i) {
+    std::uint8_t temp[4];
+    std::memcpy(temp, w[i - 1], 4);
+    if (i % nk == 0) {
+      const std::uint8_t t0 = temp[0];
+      temp[0] = static_cast<std::uint8_t>(kSbox[temp[1]] ^ kRcon[i / nk]);
+      temp[1] = kSbox[temp[2]];
+      temp[2] = kSbox[temp[3]];
+      temp[3] = kSbox[t0];
+    } else if (nk > 6 && i % nk == 4) {
+      for (auto& t : temp) t = kSbox[t];
+    }
+    for (int b = 0; b < 4; ++b) w[i][b] = static_cast<std::uint8_t>(w[i - nk][b] ^ temp[b]);
+  }
+  for (std::size_t i = 0; i < total_words; ++i) {
+    std::memcpy(&round_keys_[i * 4], w[i], 4);
+  }
+}
+
+inline void Aes::encrypt_block(const std::uint8_t in[16], std::uint8_t out[16]) const {
+  std::uint8_t s[16];
+  for (int i = 0; i < 16; ++i) s[i] = static_cast<std::uint8_t>(in[i] ^ round_keys_[i]);
+  for (int round = 1; round <= rounds_; ++round) {
+    // SubBytes
+    for (auto& b : s) b = kSbox[b];
+    // ShiftRows (state is column-major: s[4*col + row])
+    std::uint8_t t[16];
+    for (int col = 0; col < 4; ++col) {
+      for (int row = 0; row < 4; ++row) {
+        t[4 * col + row] = s[4 * ((col + row) % 4) + row];
+      }
+    }
+    std::memcpy(s, t, 16);
+    // MixColumns (skipped in final round)
+    if (round != rounds_) {
+      for (int col = 0; col < 4; ++col) {
+        std::uint8_t* c = &s[4 * col];
+        const std::uint8_t a0 = c[0], a1 = c[1], a2 = c[2], a3 = c[3];
+        c[0] = static_cast<std::uint8_t>(xtime(a0) ^ (xtime(a1) ^ a1) ^ a2 ^ a3);
+        c[1] = static_cast<std::uint8_t>(a0 ^ xtime(a1) ^ (xtime(a2) ^ a2) ^ a3);
+        c[2] = static_cast<std::uint8_t>(a0 ^ a1 ^ xtime(a2) ^ (xtime(a3) ^ a3));
+        c[3] = static_cast<std::uint8_t>((xtime(a0) ^ a0) ^ a1 ^ a2 ^ xtime(a3));
+      }
+    }
+    // AddRoundKey
+    for (int i = 0; i < 16; ++i) s[i] ^= round_keys_[round * 16 + i];
+  }
+  std::memcpy(out, s, 16);
+}
+
+inline void Aes::decrypt_block(const std::uint8_t in[16], std::uint8_t out[16]) const {
+  std::uint8_t s[16];
+  for (int i = 0; i < 16; ++i) s[i] = static_cast<std::uint8_t>(in[i] ^ round_keys_[rounds_ * 16 + i]);
+  for (int round = rounds_ - 1; round >= 0; --round) {
+    // InvShiftRows
+    std::uint8_t t[16];
+    for (int col = 0; col < 4; ++col) {
+      for (int row = 0; row < 4; ++row) {
+        t[4 * ((col + row) % 4) + row] = s[4 * col + row];
+      }
+    }
+    std::memcpy(s, t, 16);
+    // InvSubBytes
+    for (auto& b : s) b = inv_sbox(b);
+    // AddRoundKey
+    for (int i = 0; i < 16; ++i) s[i] ^= round_keys_[round * 16 + i];
+    // InvMixColumns (skipped before round 0's key was the last step)
+    if (round != 0) {
+      for (int col = 0; col < 4; ++col) {
+        std::uint8_t* c = &s[4 * col];
+        const std::uint8_t a0 = c[0], a1 = c[1], a2 = c[2], a3 = c[3];
+        c[0] = static_cast<std::uint8_t>(gmul(a0, 14) ^ gmul(a1, 11) ^ gmul(a2, 13) ^ gmul(a3, 9));
+        c[1] = static_cast<std::uint8_t>(gmul(a0, 9) ^ gmul(a1, 14) ^ gmul(a2, 11) ^ gmul(a3, 13));
+        c[2] = static_cast<std::uint8_t>(gmul(a0, 13) ^ gmul(a1, 9) ^ gmul(a2, 14) ^ gmul(a3, 11));
+        c[3] = static_cast<std::uint8_t>(gmul(a0, 11) ^ gmul(a1, 13) ^ gmul(a2, 9) ^ gmul(a3, 14));
+      }
+    }
+  }
+  std::memcpy(out, s, 16);
+}
+
+inline Bytes cbc_encrypt(std::span<const std::uint8_t> key, std::span<const std::uint8_t> iv,
+                         std::span<const std::uint8_t> plaintext) {
+  const Aes aes(key);
+  Bytes out(plaintext.size());
+  std::uint8_t chain[16];
+  std::memcpy(chain, iv.data(), 16);
+  for (std::size_t off = 0; off < plaintext.size(); off += 16) {
+    std::uint8_t block[16];
+    for (std::size_t i = 0; i < 16; ++i) block[i] = static_cast<std::uint8_t>(plaintext[off + i] ^ chain[i]);
+    aes.encrypt_block(block, &out[off]);
+    std::memcpy(chain, &out[off], 16);
+  }
+  return out;
+}
+
+inline Bytes cbc_decrypt(std::span<const std::uint8_t> key, std::span<const std::uint8_t> iv,
+                         std::span<const std::uint8_t> ciphertext) {
+  const Aes aes(key);
+  Bytes out(ciphertext.size());
+  std::uint8_t chain[16];
+  std::memcpy(chain, iv.data(), 16);
+  for (std::size_t off = 0; off < ciphertext.size(); off += 16) {
+    std::uint8_t block[16];
+    aes.decrypt_block(&ciphertext[off], block);
+    for (std::size_t i = 0; i < 16; ++i) out[off + i] = static_cast<std::uint8_t>(block[i] ^ chain[i]);
+    std::memcpy(chain, &ciphertext[off], 16);
+  }
+  return out;
+}
+
+}  // namespace opcua_study::legacy_aes

@@ -1,8 +1,8 @@
 #include "crypto/aes.hpp"
 
-#include <array>
-#include <cstring>
+#include <bit>
 #include <stdexcept>
+#include <string>
 
 namespace opcua_study {
 
@@ -31,21 +31,11 @@ constexpr std::uint8_t kSbox[256] = {
 constexpr std::uint8_t kRcon[11] = {0x00, 0x01, 0x02, 0x04, 0x08, 0x10,
                                     0x20, 0x40, 0x80, 0x1b, 0x36};
 
-std::uint8_t inv_sbox(std::uint8_t v) {
-  // Computed lazily once; the inverse S-box is small enough to derive.
-  static const auto table = [] {
-    std::array<std::uint8_t, 256> t{};
-    for (int i = 0; i < 256; ++i) t[kSbox[i]] = static_cast<std::uint8_t>(i);
-    return t;
-  }();
-  return table[v];
-}
-
-std::uint8_t xtime(std::uint8_t x) {
+constexpr std::uint8_t xtime(std::uint8_t x) {
   return static_cast<std::uint8_t>((x << 1) ^ ((x >> 7) * 0x1b));
 }
 
-std::uint8_t gmul(std::uint8_t a, std::uint8_t b) {
+constexpr std::uint8_t gmul(std::uint8_t a, std::uint8_t b) {
   std::uint8_t p = 0;
   for (int i = 0; i < 8; ++i) {
     if (b & 1) p ^= a;
@@ -55,132 +45,186 @@ std::uint8_t gmul(std::uint8_t a, std::uint8_t b) {
   return p;
 }
 
+constexpr std::uint32_t pack(std::uint8_t b0, std::uint8_t b1, std::uint8_t b2, std::uint8_t b3) {
+  return (std::uint32_t{b0} << 24) | (std::uint32_t{b1} << 16) | (std::uint32_t{b2} << 8) | b3;
+}
+
+/// Round tables over big-endian column words (row 0 in the top byte).
+/// te[0][x] is column (2,1,1,3)·S[x], the SubBytes+MixColumns contribution
+/// of a row-0 byte; td[0][x] is (14,9,13,11)·InvS[x]. te[r] / td[r] are the
+/// same words rotated right by 8r bits, for a byte that sits in row r.
+struct Tables {
+  std::uint32_t te[4][256];
+  std::uint32_t td[4][256];
+  std::uint8_t inv_sbox[256];
+};
+
+constexpr Tables make_tables() {
+  Tables t{};
+  for (int i = 0; i < 256; ++i) t.inv_sbox[kSbox[i]] = static_cast<std::uint8_t>(i);
+  for (int i = 0; i < 256; ++i) {
+    const std::uint8_t s = kSbox[i];
+    const std::uint8_t v = t.inv_sbox[i];
+    const std::uint32_t e = pack(gmul(s, 2), s, s, gmul(s, 3));
+    const std::uint32_t d = pack(gmul(v, 14), gmul(v, 9), gmul(v, 13), gmul(v, 11));
+    for (int r = 0; r < 4; ++r) {
+      t.te[r][i] = std::rotr(e, 8 * r);
+      t.td[r][i] = std::rotr(d, 8 * r);
+    }
+  }
+  return t;
+}
+
+constexpr Tables kTables = make_tables();
+
+std::uint32_t load_be32(const std::uint8_t* p) {
+  return pack(p[0], p[1], p[2], p[3]);
+}
+
+void store_be32(std::uint32_t v, std::uint8_t* p) {
+  p[0] = static_cast<std::uint8_t>(v >> 24);
+  p[1] = static_cast<std::uint8_t>(v >> 16);
+  p[2] = static_cast<std::uint8_t>(v >> 8);
+  p[3] = static_cast<std::uint8_t>(v);
+}
+
+/// One full round's column: rows 0..3 taken from state words a, b, c, d
+/// (ShiftRows / InvShiftRows is the caller's choice of words).
+std::uint32_t table_round(const std::uint32_t (&t)[4][256], std::uint32_t a, std::uint32_t b,
+                          std::uint32_t c, std::uint32_t d) {
+  return t[0][a >> 24] ^ t[1][(b >> 16) & 0xff] ^ t[2][(c >> 8) & 0xff] ^ t[3][d & 0xff];
+}
+
+/// The last round's column: S-box only, no (Inv)MixColumns.
+std::uint32_t box_round(const std::uint8_t (&box)[256], std::uint32_t a, std::uint32_t b,
+                        std::uint32_t c, std::uint32_t d) {
+  return pack(box[a >> 24], box[(b >> 16) & 0xff], box[(c >> 8) & 0xff], box[d & 0xff]);
+}
+
+std::uint32_t sub_word(std::uint32_t w) {
+  return box_round(kSbox, w, w, w, w);
+}
+
+void check_cbc_args(std::span<const std::uint8_t> iv, std::size_t size, const char* what) {
+  if (iv.size() != 16) throw std::invalid_argument("CBC IV must be 16 bytes");
+  if (size % 16 != 0) throw std::invalid_argument(std::string("CBC ") + what + " not block-aligned");
+}
+
 }  // namespace
 
 Aes::Aes(std::span<const std::uint8_t> key) {
-  const std::size_t nk = key.size() / 4;
   if (key.size() != 16 && key.size() != 24 && key.size() != 32) {
     throw std::invalid_argument("AES key must be 16/24/32 bytes");
   }
+  const std::size_t nk = key.size() / 4;
   rounds_ = static_cast<int>(nk) + 6;
   const std::size_t total_words = 4 * static_cast<std::size_t>(rounds_ + 1);
-  std::uint8_t w[60][4];
-  for (std::size_t i = 0; i < nk; ++i) {
-    for (int b = 0; b < 4; ++b) w[i][b] = key[i * 4 + static_cast<std::size_t>(b)];
-  }
+  std::uint32_t* w = enc_keys_;
+  for (std::size_t i = 0; i < nk; ++i) w[i] = load_be32(&key[4 * i]);
   for (std::size_t i = nk; i < total_words; ++i) {
-    std::uint8_t temp[4];
-    std::memcpy(temp, w[i - 1], 4);
+    std::uint32_t temp = w[i - 1];
     if (i % nk == 0) {
-      const std::uint8_t t0 = temp[0];
-      temp[0] = static_cast<std::uint8_t>(kSbox[temp[1]] ^ kRcon[i / nk]);
-      temp[1] = kSbox[temp[2]];
-      temp[2] = kSbox[temp[3]];
-      temp[3] = kSbox[t0];
+      temp = sub_word(std::rotl(temp, 8)) ^ (std::uint32_t{kRcon[i / nk]} << 24);
     } else if (nk > 6 && i % nk == 4) {
-      for (auto& t : temp) t = kSbox[t];
+      temp = sub_word(temp);
     }
-    for (int b = 0; b < 4; ++b) w[i][b] = static_cast<std::uint8_t>(w[i - nk][b] ^ temp[b]);
+    w[i] = w[i - nk] ^ temp;
   }
-  for (std::size_t i = 0; i < total_words; ++i) {
-    std::memcpy(&round_keys_[i * 4], w[i], 4);
+  // Equivalent inverse cipher (FIPS-197 §5.3.5): round keys in reverse
+  // order, InvMixColumns applied to every one but the first and last.
+  // td[r][S[x]] is InvMixColumns of byte x in row r.
+  for (int round = 0; round <= rounds_; ++round) {
+    const std::uint32_t* src = &enc_keys_[4 * (rounds_ - round)];
+    std::uint32_t* dst = &dec_keys_[4 * round];
+    for (int i = 0; i < 4; ++i) {
+      const std::uint32_t sk = sub_word(src[i]);
+      dst[i] = round == 0 || round == rounds_ ? src[i] : table_round(kTables.td, sk, sk, sk, sk);
+    }
   }
 }
 
 void Aes::encrypt_block(const std::uint8_t in[16], std::uint8_t out[16]) const {
-  std::uint8_t s[16];
-  for (int i = 0; i < 16; ++i) s[i] = static_cast<std::uint8_t>(in[i] ^ round_keys_[i]);
-  for (int round = 1; round <= rounds_; ++round) {
-    // SubBytes
-    for (auto& b : s) b = kSbox[b];
-    // ShiftRows (state is column-major: s[4*col + row])
-    std::uint8_t t[16];
-    for (int col = 0; col < 4; ++col) {
-      for (int row = 0; row < 4; ++row) {
-        t[4 * col + row] = s[4 * ((col + row) % 4) + row];
-      }
-    }
-    std::memcpy(s, t, 16);
-    // MixColumns (skipped in final round)
-    if (round != rounds_) {
-      for (int col = 0; col < 4; ++col) {
-        std::uint8_t* c = &s[4 * col];
-        const std::uint8_t a0 = c[0], a1 = c[1], a2 = c[2], a3 = c[3];
-        c[0] = static_cast<std::uint8_t>(xtime(a0) ^ (xtime(a1) ^ a1) ^ a2 ^ a3);
-        c[1] = static_cast<std::uint8_t>(a0 ^ xtime(a1) ^ (xtime(a2) ^ a2) ^ a3);
-        c[2] = static_cast<std::uint8_t>(a0 ^ a1 ^ xtime(a2) ^ (xtime(a3) ^ a3));
-        c[3] = static_cast<std::uint8_t>((xtime(a0) ^ a0) ^ a1 ^ a2 ^ xtime(a3));
-      }
-    }
-    // AddRoundKey
-    for (int i = 0; i < 16; ++i) s[i] ^= round_keys_[round * 16 + i];
+  const std::uint32_t* rk = enc_keys_;
+  std::uint32_t s0 = load_be32(in) ^ rk[0];
+  std::uint32_t s1 = load_be32(in + 4) ^ rk[1];
+  std::uint32_t s2 = load_be32(in + 8) ^ rk[2];
+  std::uint32_t s3 = load_be32(in + 12) ^ rk[3];
+  const auto& te = kTables.te;
+  for (int round = 1; round < rounds_; ++round) {
+    rk += 4;
+    // ShiftRows: row r of column c comes from column c + r.
+    const std::uint32_t t0 = table_round(te, s0, s1, s2, s3) ^ rk[0];
+    const std::uint32_t t1 = table_round(te, s1, s2, s3, s0) ^ rk[1];
+    const std::uint32_t t2 = table_round(te, s2, s3, s0, s1) ^ rk[2];
+    const std::uint32_t t3 = table_round(te, s3, s0, s1, s2) ^ rk[3];
+    s0 = t0, s1 = t1, s2 = t2, s3 = t3;
   }
-  std::memcpy(out, s, 16);
+  rk += 4;
+  store_be32(box_round(kSbox, s0, s1, s2, s3) ^ rk[0], out);
+  store_be32(box_round(kSbox, s1, s2, s3, s0) ^ rk[1], out + 4);
+  store_be32(box_round(kSbox, s2, s3, s0, s1) ^ rk[2], out + 8);
+  store_be32(box_round(kSbox, s3, s0, s1, s2) ^ rk[3], out + 12);
 }
 
 void Aes::decrypt_block(const std::uint8_t in[16], std::uint8_t out[16]) const {
-  std::uint8_t s[16];
-  for (int i = 0; i < 16; ++i) s[i] = static_cast<std::uint8_t>(in[i] ^ round_keys_[rounds_ * 16 + i]);
-  for (int round = rounds_ - 1; round >= 0; --round) {
-    // InvShiftRows
-    std::uint8_t t[16];
-    for (int col = 0; col < 4; ++col) {
-      for (int row = 0; row < 4; ++row) {
-        t[4 * ((col + row) % 4) + row] = s[4 * col + row];
-      }
-    }
-    std::memcpy(s, t, 16);
-    // InvSubBytes
-    for (auto& b : s) b = inv_sbox(b);
-    // AddRoundKey
-    for (int i = 0; i < 16; ++i) s[i] ^= round_keys_[round * 16 + i];
-    // InvMixColumns (skipped before round 0's key was the last step)
-    if (round != 0) {
-      for (int col = 0; col < 4; ++col) {
-        std::uint8_t* c = &s[4 * col];
-        const std::uint8_t a0 = c[0], a1 = c[1], a2 = c[2], a3 = c[3];
-        c[0] = static_cast<std::uint8_t>(gmul(a0, 14) ^ gmul(a1, 11) ^ gmul(a2, 13) ^ gmul(a3, 9));
-        c[1] = static_cast<std::uint8_t>(gmul(a0, 9) ^ gmul(a1, 14) ^ gmul(a2, 11) ^ gmul(a3, 13));
-        c[2] = static_cast<std::uint8_t>(gmul(a0, 13) ^ gmul(a1, 9) ^ gmul(a2, 14) ^ gmul(a3, 11));
-        c[3] = static_cast<std::uint8_t>(gmul(a0, 11) ^ gmul(a1, 13) ^ gmul(a2, 9) ^ gmul(a3, 14));
-      }
-    }
+  const std::uint32_t* rk = dec_keys_;
+  std::uint32_t s0 = load_be32(in) ^ rk[0];
+  std::uint32_t s1 = load_be32(in + 4) ^ rk[1];
+  std::uint32_t s2 = load_be32(in + 8) ^ rk[2];
+  std::uint32_t s3 = load_be32(in + 12) ^ rk[3];
+  const auto& td = kTables.td;
+  for (int round = 1; round < rounds_; ++round) {
+    rk += 4;
+    // InvShiftRows: row r of column c comes from column c - r.
+    const std::uint32_t t0 = table_round(td, s0, s3, s2, s1) ^ rk[0];
+    const std::uint32_t t1 = table_round(td, s1, s0, s3, s2) ^ rk[1];
+    const std::uint32_t t2 = table_round(td, s2, s1, s0, s3) ^ rk[2];
+    const std::uint32_t t3 = table_round(td, s3, s2, s1, s0) ^ rk[3];
+    s0 = t0, s1 = t1, s2 = t2, s3 = t3;
   }
-  std::memcpy(out, s, 16);
+  rk += 4;
+  const auto& inv = kTables.inv_sbox;
+  store_be32(box_round(inv, s0, s3, s2, s1) ^ rk[0], out);
+  store_be32(box_round(inv, s1, s0, s3, s2) ^ rk[1], out + 4);
+  store_be32(box_round(inv, s2, s1, s0, s3) ^ rk[2], out + 8);
+  store_be32(box_round(inv, s3, s2, s1, s0) ^ rk[3], out + 12);
+}
+
+Bytes Aes::cbc_encrypt(std::span<const std::uint8_t> iv,
+                       std::span<const std::uint8_t> plaintext) const {
+  check_cbc_args(iv, plaintext.size(), "plaintext");
+  Bytes out(plaintext.size());
+  const std::uint8_t* chain = iv.data();
+  for (std::size_t off = 0; off < plaintext.size(); off += 16) {
+    std::uint8_t block[16];
+    for (std::size_t i = 0; i < 16; ++i) block[i] = static_cast<std::uint8_t>(plaintext[off + i] ^ chain[i]);
+    encrypt_block(block, &out[off]);
+    chain = &out[off];
+  }
+  return out;
+}
+
+Bytes Aes::cbc_decrypt(std::span<const std::uint8_t> iv,
+                       std::span<const std::uint8_t> ciphertext) const {
+  check_cbc_args(iv, ciphertext.size(), "ciphertext");
+  Bytes out(ciphertext.size());
+  const std::uint8_t* chain = iv.data();
+  for (std::size_t off = 0; off < ciphertext.size(); off += 16) {
+    decrypt_block(&ciphertext[off], &out[off]);
+    for (std::size_t i = 0; i < 16; ++i) out[off + i] ^= chain[i];
+    chain = &ciphertext[off];
+  }
+  return out;
 }
 
 Bytes aes_cbc_encrypt(std::span<const std::uint8_t> key, std::span<const std::uint8_t> iv,
                       std::span<const std::uint8_t> plaintext) {
-  if (iv.size() != 16) throw std::invalid_argument("CBC IV must be 16 bytes");
-  if (plaintext.size() % 16 != 0) throw std::invalid_argument("CBC plaintext not block-aligned");
-  Aes aes(key);
-  Bytes out(plaintext.size());
-  std::uint8_t chain[16];
-  std::memcpy(chain, iv.data(), 16);
-  for (std::size_t off = 0; off < plaintext.size(); off += 16) {
-    std::uint8_t block[16];
-    for (int i = 0; i < 16; ++i) block[i] = static_cast<std::uint8_t>(plaintext[off + static_cast<std::size_t>(i)] ^ chain[i]);
-    aes.encrypt_block(block, &out[off]);
-    std::memcpy(chain, &out[off], 16);
-  }
-  return out;
+  return Aes(key).cbc_encrypt(iv, plaintext);
 }
 
 Bytes aes_cbc_decrypt(std::span<const std::uint8_t> key, std::span<const std::uint8_t> iv,
                       std::span<const std::uint8_t> ciphertext) {
-  if (iv.size() != 16) throw std::invalid_argument("CBC IV must be 16 bytes");
-  if (ciphertext.size() % 16 != 0) throw std::invalid_argument("CBC ciphertext not block-aligned");
-  Aes aes(key);
-  Bytes out(ciphertext.size());
-  std::uint8_t chain[16];
-  std::memcpy(chain, iv.data(), 16);
-  for (std::size_t off = 0; off < ciphertext.size(); off += 16) {
-    std::uint8_t block[16];
-    aes.decrypt_block(&ciphertext[off], block);
-    for (int i = 0; i < 16; ++i) out[off + static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(block[i] ^ chain[i]);
-    std::memcpy(chain, &ciphertext[off], 16);
-  }
-  return out;
+  return Aes(key).cbc_decrypt(iv, ciphertext);
 }
 
 }  // namespace opcua_study

@@ -6,11 +6,30 @@
 #pragma once
 
 #include <span>
+#include <variant>
 
 #include "crypto/hash.hpp"
 #include "util/bytes.hpp"
 
 namespace opcua_study {
+
+/// HMAC under one key. The key's inner and outer pad blocks are hashed at
+/// construction, so each mac() hashes only the message and the inner
+/// digest. A secure channel keeps one per direction for its whole life;
+/// hmac() and p_hash() are built on it too, so there is one HMAC path.
+class Hmac {
+ public:
+  Hmac(HashAlgorithm alg, std::span<const std::uint8_t> key);
+
+  /// HMAC(key, head || tail); the split lets callers MAC two pieces
+  /// without joining them first.
+  Bytes mac(std::span<const std::uint8_t> head, std::span<const std::uint8_t> tail = {}) const;
+
+ private:
+  using State = std::variant<Md5, Sha1, Sha256>;
+  State inner_;  // hash state after absorbing key ^ ipad
+  State outer_;  // hash state after absorbing key ^ opad
+};
 
 Bytes hmac(HashAlgorithm alg, std::span<const std::uint8_t> key,
            std::span<const std::uint8_t> data);

@@ -1,7 +1,7 @@
 #include "opcua/secureconv.hpp"
 
-#include "crypto/aes.hpp"
-#include "crypto/hmac.hpp"
+#include <algorithm>
+
 #include "opcua/encoding.hpp"
 
 namespace opcua_study {
@@ -19,10 +19,19 @@ DerivedKeys derive_keys(SecurityPolicy policy, std::span<const std::uint8_t> sec
   keys.enc_key.assign(it, it + static_cast<std::ptrdiff_t>(info.sym_enc_key_bytes));
   it += static_cast<std::ptrdiff_t>(info.sym_enc_key_bytes);
   keys.iv.assign(it, it + 16);
+  keys.signer.emplace(info.sym_mac_hash, keys.sig_key);
+  keys.cipher.emplace(keys.enc_key);
   return keys;
 }
 
 namespace {
+
+/// The expanded state a secured MSG chunk needs; derive_keys() sets it.
+void require_channel_state(const DerivedKeys& keys) {
+  if (!keys.signer || !keys.cipher) {
+    throw std::invalid_argument("secured MSG requires keys from derive_keys");
+  }
+}
 
 Bytes asym_sign(const SecurityPolicyInfo& info, const RsaPrivateKey& key,
                 std::span<const std::uint8_t> data, Rng& rng) {
@@ -267,6 +276,7 @@ Bytes build_msg(std::string_view frame_type, std::uint32_t channel_id, std::uint
     return frame_message(frame_type, full);
   }
 
+  require_channel_state(sender_keys);
   const std::size_t sig_len = digest_size(info.sym_mac_hash);
   const bool encrypt = mode == MessageSecurityMode::SignAndEncrypt;
   std::size_t padding = 0;
@@ -291,7 +301,7 @@ Bytes build_msg(std::string_view frame_type, std::uint32_t channel_id, std::uint
     }
     to_sign = w.take();
   }
-  const Bytes signature = hmac(info.sym_mac_hash, sender_keys.sig_key, to_sign);
+  const Bytes signature = sender_keys.signer->mac(to_sign);
 
   Bytes secured = plain;
   if (encrypt) {
@@ -299,7 +309,7 @@ Bytes build_msg(std::string_view frame_type, std::uint32_t channel_id, std::uint
     secured.push_back(static_cast<std::uint8_t>(padding));
   }
   secured.insert(secured.end(), signature.begin(), signature.end());
-  if (encrypt) secured = aes_cbc_encrypt(sender_keys.enc_key, sender_keys.iv, secured);
+  if (encrypt) secured = sender_keys.cipher->cbc_encrypt(sender_keys.iv, secured);
 
   ByteWriter w;
   w.raw(frame_type);
@@ -329,25 +339,27 @@ MsgParsed parse_msg(std::span<const std::uint8_t> wire, SecurityPolicy policy,
     return out;
   }
 
+  require_channel_state(sender_keys);
   const std::size_t sig_len = digest_size(info.sym_mac_hash);
   const bool encrypted = mode == MessageSecurityMode::SignAndEncrypt;
   Bytes secured = r.base().raw(r.remaining());
   if (encrypted) {
     if (secured.size() % 16 != 0) throw DecodeError("MSG ciphertext not block-aligned");
-    secured = aes_cbc_decrypt(sender_keys.enc_key, sender_keys.iv, secured);
+    secured = sender_keys.cipher->cbc_decrypt(sender_keys.iv, secured);
   }
   if (secured.size() < sig_len + 8) throw DecodeError("MSG too short");
-  const Bytes signature(secured.end() - static_cast<std::ptrdiff_t>(sig_len), secured.end());
+  const std::span<const std::uint8_t> secured_view(secured);
+  std::size_t body_end = secured.size() - sig_len;
 
-  const std::size_t prefix_len = 8 + 8;  // frame header + channel/token ids
-  Bytes signed_view(wire.begin(), wire.begin() + static_cast<std::ptrdiff_t>(prefix_len));
-  signed_view.insert(signed_view.end(), secured.begin(),
-                     secured.end() - static_cast<std::ptrdiff_t>(sig_len));
-  if (hmac(info.sym_mac_hash, sender_keys.sig_key, signed_view) != signature) {
+  // Signed view: frame header + channel/token ids off the wire, then the
+  // decrypted region up to the signature.
+  const std::size_t prefix_len = 8 + 8;
+  const Bytes expected =
+      sender_keys.signer->mac(wire.first(prefix_len), secured_view.first(body_end));
+  if (!std::ranges::equal(expected, secured_view.subspan(body_end))) {
     throw DecodeError("MSG signature verification failed");
   }
 
-  std::size_t body_end = secured.size() - sig_len;
   if (encrypted) {
     const std::size_t padding = secured[body_end - 1];
     if (body_end < padding + 1 + 8) throw DecodeError("MSG padding underflow");
@@ -356,7 +368,7 @@ MsgParsed parse_msg(std::span<const std::uint8_t> wire, SecurityPolicy policy,
     }
     body_end -= padding + 1;
   }
-  UaReader pr(std::span<const std::uint8_t>(secured).first(body_end));
+  UaReader pr(secured_view.first(body_end));
   out.seq.sequence_number = pr.u32();
   out.seq.request_id = pr.u32();
   out.body = pr.base().raw(pr.remaining());

@@ -16,6 +16,8 @@
 
 #include <optional>
 
+#include "crypto/aes.hpp"
+#include "crypto/hmac.hpp"
 #include "crypto/rsa.hpp"
 #include "crypto/x509.hpp"
 #include "opcua/secpolicy.hpp"
@@ -24,15 +26,20 @@
 
 namespace opcua_study {
 
-/// Symmetric key block for one direction of a channel.
+/// Symmetric key block for one direction of a channel, with the key
+/// material already expanded: every MSG chunk the direction carries reuses
+/// the same HMAC pad states and AES schedules.
 struct DerivedKeys {
   Bytes sig_key;
   Bytes enc_key;
   Bytes iv;
+  std::optional<Hmac> signer;  // keyed with sig_key
+  std::optional<Aes> cipher;   // expanded from enc_key
 };
 
 /// OPC UA key derivation: keys for the direction whose *remote* nonce is the
-/// secret and *local* nonce is the seed (OPC 10000-6 §6.7.5).
+/// secret and *local* nonce is the seed (OPC 10000-6 §6.7.5). Empty for
+/// policy None; otherwise `signer` and `cipher` are set.
 DerivedKeys derive_keys(SecurityPolicy policy, std::span<const std::uint8_t> secret,
                         std::span<const std::uint8_t> seed);
 

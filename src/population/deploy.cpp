@@ -3,12 +3,14 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <set>
 
 #include "crypto/x509.hpp"
 #include "netsim/mqtt_service.hpp"
 #include "netsim/opcua_service.hpp"
 #include "population/profiles.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace opcua_study {
 
@@ -95,6 +97,10 @@ std::pair<std::string, std::size_t> Deployer::key_id_for(const HostPlan& host, b
   return {label, bits};
 }
 
+std::pair<std::string, std::size_t> Deployer::ca_key_id() const {
+  return {"study-ca", config_.fast_keys ? 512 : 2048};
+}
+
 std::pair<std::string, std::size_t> Deployer::key_id_for(const MqttHostPlan& host) const {
   std::string label;
   std::size_t bits = host.key_bits;
@@ -142,7 +148,7 @@ void Deployer::prefetch_keys(int week, const ShardSpec& shard) {
     if (shard_of(broker, shard.count) != shard.index) continue;
     wants.push_back(key_id_for(broker));
   }
-  if (needs_ca) wants.emplace_back("study-ca", config_.fast_keys ? 512 : 2048);
+  if (needs_ca) wants.push_back(ca_key_id());
   keys_.prefetch(wants, config_.key_threads);
 }
 
@@ -181,20 +187,72 @@ std::shared_ptr<const MqttBrokerConfig> Deployer::mqtt_config_for(const MqttHost
   return mqtt_memo_.emplace(host.index, std::move(config)).first->second;
 }
 
-Bytes Deployer::certificate_for(const HostPlan& host, int week, bool dual) {
+std::pair<int, std::pair<int, bool>> Deployer::cert_key_for(const HostPlan& host, int week,
+                                                            bool dual) const {
   // Certificates are stable across weeks unless the host is ephemeral or a
   // renewal applies, so memoise on the effective generation.
-  const auto& cert_plan = host.certificate;
   int generation = 0;
-  if (cert_plan.ephemeral) {
+  if (host.certificate.ephemeral) {
     generation = week;
   } else if (host.renewal && host.renewal->dual == dual && week >= host.renewal->week) {
     generation = 100 + host.renewal->week;
   }
-  const auto memo_key = std::make_pair(host.index, std::make_pair(generation, dual));
-  if (const auto it = cert_memo_.find(memo_key); it != cert_memo_.end()) return it->second;
+  return {host.index, {generation, dual}};
+}
 
-  const RsaKeyPair& keys = keypair_for(host, dual);
+void Deployer::prefetch_certificates(int week, const ShardSpec& shard) {
+  // After the key prefetch, x509_create (one RSA private op each) is what
+  // is left of a deploy. Collect the shard-week's unsigned certificates,
+  // assemble their missing keypairs (KeyFactory::get re-derives d and the
+  // CRT parts) and sign, both on the pool with one output slot per item.
+  struct Job {
+    const HostPlan* host;
+    bool dual;
+  };
+  std::vector<Job> jobs;
+  std::vector<std::pair<std::string, std::size_t>> missing_keys;
+  std::set<std::string> queued_labels;
+  const auto want_key = [&](const std::pair<std::string, std::size_t>& id) {
+    if (!key_memo_.contains(id.first) && queued_labels.insert(id.first).second) {
+      missing_keys.push_back(id);
+    }
+  };
+  for (const auto& host : plan_.hosts) {
+    if (!host.present_in_week(week)) continue;
+    if (shard_of(host, shard.count) != shard.index) continue;
+    if (!host.certificate.present) continue;
+    for (const bool dual : {false, true}) {
+      if (dual && !host.certificate.dual_certificate) continue;
+      if (cert_memo_.contains(cert_key_for(host, week, dual))) continue;
+      jobs.push_back({&host, dual});
+      want_key(key_id_for(host, dual));
+      if (!dual && host.certificate.ca_signed) want_key(ca_key_id());
+    }
+  }
+  if (jobs.empty()) return;
+
+  const ThreadPool pool(config_.key_threads);
+  std::vector<RsaKeyPair> pairs(missing_keys.size());
+  pool.parallel_for(missing_keys.size(), [&](std::size_t i) {
+    pairs[i] = keys_.get(missing_keys[i].first, missing_keys[i].second);
+  });
+  for (std::size_t i = 0; i < missing_keys.size(); ++i) {
+    key_memo_.emplace(missing_keys[i].first, std::move(pairs[i]));
+  }
+
+  std::vector<Bytes> ders(jobs.size());
+  pool.parallel_for(jobs.size(), [&](std::size_t i) {
+    ders[i] = sign_certificate(*jobs[i].host, week, jobs[i].dual);
+  });
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    cert_memo_.emplace(cert_key_for(*jobs[i].host, week, jobs[i].dual), std::move(ders[i]));
+  }
+}
+
+Bytes Deployer::sign_certificate(const HostPlan& host, int week, bool dual) const {
+  const auto& cert_plan = host.certificate;
+  const int generation = cert_key_for(host, week, dual).second.first;
+  const RsaKeyPair& keys = key_memo_.at(key_id_for(host, dual).first);
   CertificateSpec spec;
   spec.signature_hash = dual ? HashAlgorithm::sha1 : cert_plan.signature_hash;
   std::int64_t not_before = dual ? cert_plan.dual_not_before_days : cert_plan.not_before_days;
@@ -226,15 +284,15 @@ Bytes Deployer::certificate_for(const HostPlan& host, int week, bool dual) {
                     host.manufacturer, "DE"};
     spec.application_uri = host.application_uri;
   }
-  Bytes der;
   if (!dual && cert_plan.ca_signed) {
     spec.issuer = X509Name{"Industrial Device CA", "TrustWorks CA GmbH", "DE"};
-    const RsaKeyPair& ca = keys_.get("study-ca", config_.fast_keys ? 512 : 2048);
-    der = x509_create(spec, keys.pub, ca.priv);
-  } else {
-    der = x509_create(spec, keys.pub, keys.priv);
+    return x509_create(spec, keys.pub, key_memo_.at(ca_key_id().first).priv);
   }
-  return cert_memo_.emplace(memo_key, std::move(der)).first->second;
+  return x509_create(spec, keys.pub, keys.priv);
+}
+
+const Bytes& Deployer::certificate_for(const HostPlan& host, int week, bool dual) const {
+  return cert_memo_.at(cert_key_for(host, week, dual));
 }
 
 std::shared_ptr<AddressSpace> Deployer::address_space_for(const HostPlan& host) {
@@ -376,9 +434,11 @@ void Deployer::deploy_week(Network& net, int week, const ShardSpec& shard) {
   }
   net.as_db().add(Cidr{kDummyBase, 8}, AsInfo{64998, "MiscHosting"});
 
-  // OPC UA hosts: generate the week's key corpus in parallel first, then
-  // build servers serially against the warm cache.
+  // OPC UA hosts: generate the week's key corpus and sign its new
+  // certificates in parallel first, then build servers serially against
+  // the warm caches.
   prefetch_keys(week, shard);
+  prefetch_certificates(week, shard);
   std::map<int, const HostPlan*> by_index;
   for (const auto& host : plan_.hosts) by_index[host.index] = &host;
 

@@ -31,9 +31,10 @@ struct DeployConfig {
   /// certificate *classification* then differs — only use in protocol
   /// tests, never in calibration benches).
   bool fast_keys = false;
-  /// Worker threads for the keygen prefetch pass of deploy_week() (0 =
-  /// hardware concurrency, 1 = serial). Every key label owns its own Rng
-  /// stream, so the deployed snapshot is field-identical for any value.
+  /// Worker threads for the keygen and certificate-signing prefetch
+  /// passes of deploy_week() (0 = hardware concurrency, 1 = serial). Every
+  /// key label owns its own Rng stream and every certificate its own
+  /// output slot, so the deployed snapshot is field-identical for any value.
   int key_threads = 0;
   std::string key_cache_path = KeyFactory::default_cache_path();
 };
@@ -75,10 +76,25 @@ class Deployer {
   /// prefetch pass so the two can never drift apart.
   std::pair<std::string, std::size_t> key_id_for(const HostPlan& host, bool dual) const;
   std::pair<std::string, std::size_t> key_id_for(const MqttHostPlan& host) const;
+  /// The study CA that signs every CA-signed certificate.
+  std::pair<std::string, std::size_t> ca_key_id() const;
   /// Generate every RSA key `week`/`shard` will need on the worker pool
   /// before the (serial) server-construction loop runs.
   void prefetch_keys(int week, const ShardSpec& shard);
-  Bytes certificate_for(const HostPlan& host, int week, bool dual);
+  /// cert_memo_ key of the certificate a host presents in `week`:
+  /// (host, (generation, dual)). The generation is 0, the week for
+  /// ephemerals, or 100 + the renewal week once a renewal applies.
+  std::pair<int, std::pair<int, bool>> cert_key_for(const HostPlan& host, int week,
+                                                    bool dual) const;
+  /// Sign every certificate `week`/`shard` presents that cert_memo_ lacks
+  /// on the worker pool, then memoise them in plan order; the serial
+  /// server loop after it only reads the memo.
+  void prefetch_certificates(int week, const ShardSpec& shard);
+  /// One certificate's DER: a pure function of plan, spec and keys, whose
+  /// keypairs (and the CA's) must already be in key_memo_. Reads only, so
+  /// the prefetch pass runs it on any thread.
+  Bytes sign_certificate(const HostPlan& host, int week, bool dual) const;
+  const Bytes& certificate_for(const HostPlan& host, int week, bool dual) const;
   const RsaKeyPair& keypair_for(const HostPlan& host, bool dual);
   const RsaKeyPair& keypair_for_label(const std::string& label, std::size_t bits);
   /// The broker's wire config (certificate, TLS profile, auth methods) —
@@ -91,7 +107,7 @@ class Deployer {
   DeployConfig config_;
   KeyFactory keys_;
   std::map<std::string, RsaKeyPair> key_memo_;
-  std::map<std::pair<int, std::pair<int, bool>>, Bytes> cert_memo_;  // (host,(week,dual))
+  std::map<std::pair<int, std::pair<int, bool>>, Bytes> cert_memo_;  // see cert_key_for()
   std::map<int, std::shared_ptr<const MqttBrokerConfig>> mqtt_memo_;
   /// host index -> smallest host index in its discovery-reference component.
   std::map<int, int> component_;

@@ -12,10 +12,14 @@
 
 #include <cstdio>
 #include <fstream>
+#include <map>
+#include <string>
+#include <vector>
 
 #include "crypto/keycache.hpp"
 #include "population/deploy.hpp"
 #include "scanner/campaign.hpp"
+#include "study/sharded.hpp"
 #include "study/study.hpp"
 #include "util/thread_pool.hpp"
 
@@ -91,7 +95,8 @@ TEST(KeyFactoryParallel, FlushIsAtomicAndPreservesForeignSeeds) {
 }
 
 // A compact population exercising every key path: reuse groups, dual
-// certificates, CA-signed certificates, ephemerals, and keyless hosts.
+// certificates, CA-signed certificates, ephemerals, keyless hosts, and
+// week-7 renewals of a primary and of a dual certificate.
 PopulationPlan small_plan() {
   PopulationPlan plan;
   ReuseGroupPlan group;
@@ -122,6 +127,11 @@ PopulationPlan small_plan() {
     if (i == 1) host.certificate.dual_certificate = true;
     if (i == 2) host.certificate.ca_signed = true;
     if (i == 3) host.certificate.ephemeral = true;
+    if (i == 5) host.renewal = RenewalPlan{7, HashAlgorithm::sha1, false, false};
+    if (i == 6) {
+      host.certificate.dual_certificate = true;
+      host.renewal = RenewalPlan{7, HashAlgorithm::sha1, true, true};
+    }
     plan.hosts.push_back(std::move(host));
   }
   return plan;
@@ -156,6 +166,66 @@ TEST(ParallelDeployment, SnapshotIdenticalAcrossKeyThreadCounts) {
   ASSERT_EQ(serial.hosts.size(), parallel.hosts.size());
   EXPECT_TRUE(serial == parallel);
   EXPECT_GT(serial.hosts.size(), 0u);
+}
+
+// Two weeks on one Deployer, four shards: week 6 is cold (every key
+// assembled, every certificate signed), week 7 is warm (only the
+// ephemeral host and the two renewals sign anew; the rest is memoised).
+std::vector<ScanSnapshot> sharded_weeks_with_key_threads(const PopulationPlan& plan,
+                                                         int key_threads) {
+  DeployConfig config;
+  config.seed = 4242;
+  config.dummy_hosts = 40;
+  config.fast_keys = true;
+  config.key_threads = key_threads;
+  config.key_cache_path = "";
+  Deployer deployer(plan, config);
+
+  KeyFactory scanner_keys(4242, "");
+  ShardedCampaignConfig sharded;
+  sharded.campaign.seed = 4242;
+  sharded.campaign.grabber.client = make_scanner_identity(4242, scanner_keys);
+  sharded.shards = 4;
+  sharded.threads = 2;
+  std::vector<ScanSnapshot> weeks;
+  for (const int week : {6, 7}) weeks.push_back(run_sharded_campaign(deployer, week, sharded));
+  return weeks;
+}
+
+/// application URI -> the distinct certificate DERs the host presented.
+std::map<std::string, std::vector<Bytes>> certificates_by_host(const ScanSnapshot& snapshot) {
+  std::map<std::string, std::vector<Bytes>> out;
+  for (const auto& host : snapshot.hosts) {
+    if (!host.application_uri.empty()) out[host.application_uri] = host.distinct_certificates();
+  }
+  return out;
+}
+
+TEST(ParallelDeployment, ShardedColdThenWarmWeekIdenticalAcrossKeyThreadCounts) {
+  const PopulationPlan plan = small_plan();
+  const std::vector<ScanSnapshot> serial = sharded_weeks_with_key_threads(plan, 1);
+  const std::vector<ScanSnapshot> parallel = sharded_weeks_with_key_threads(plan, 4);
+  ASSERT_EQ(serial.size(), 2u);
+  ASSERT_EQ(parallel.size(), 2u);
+  for (std::size_t w = 0; w < serial.size(); ++w) {
+    EXPECT_EQ(certificates_by_host(serial[w]), certificates_by_host(parallel[w])) << "week " << w;
+    EXPECT_TRUE(serial[w] == parallel[w]) << "week " << w;
+  }
+
+  // The warm week really re-signs: the ephemeral host and both renewals
+  // present new DERs, a plain host presents the memoised one.
+  const auto cold = certificates_by_host(serial[0]);
+  const auto warm = certificates_by_host(serial[1]);
+  ASSERT_EQ(cold.size(), warm.size());
+  for (const int changed : {3, 5, 6}) {
+    const std::string uri = "urn:test:par:" + std::to_string(changed);
+    ASSERT_TRUE(cold.contains(uri) && warm.contains(uri)) << uri;
+    EXPECT_NE(cold.at(uri), warm.at(uri)) << uri;
+  }
+  EXPECT_EQ(cold.at("urn:test:par:6").front(), warm.at("urn:test:par:6").front())
+      << "a dual renewal keeps the primary certificate";
+  EXPECT_EQ(cold.at("urn:test:par:7"), warm.at("urn:test:par:7"));
+  EXPECT_FALSE(cold.at("urn:test:par:2").empty()) << "CA-signed host carries a certificate";
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include "netsim/opcua_service.hpp"
 #include "opcua/client.hpp"
 #include "util/date.hpp"
+#include "util/hex.hpp"
 
 namespace opcua_study {
 namespace {
@@ -292,6 +293,64 @@ INSTANTIATE_TEST_SUITE_P(
                                          SecurityPolicy::Aes256Sha256RsaPss),
                        ::testing::Values(MessageSecurityMode::Sign,
                                          MessageSecurityMode::SignAndEncrypt)));
+
+// Wire bytes pinned from the per-message key-expansion implementation: the
+// channel's expanded AES schedule and HMAC pad states, reused across two
+// messages, must produce exactly the same chunks, and parse them back.
+struct PinnedMsg {
+  SecurityPolicy policy;
+  MessageSecurityMode mode;
+  const char* first_hex;   // SequenceHeader{10, 11}
+  const char* second_hex;  // SequenceHeader{12, 13}, same channel keys
+};
+
+class SymmetricSecurityPinned : public ::testing::TestWithParam<PinnedMsg> {};
+
+TEST_P(SymmetricSecurityPinned, ChannelStateKeepsWireBytes) {
+  const PinnedMsg& pin = GetParam();
+  Rng rng(13);
+  const std::size_t nonce_bytes = policy_info(pin.policy).nonce_bytes;
+  const Bytes client_nonce = rng.bytes(nonce_bytes);
+  const Bytes server_nonce = rng.bytes(nonce_bytes);
+  const DerivedKeys keys = derive_keys(pin.policy, server_nonce, client_nonce);
+  const Bytes body = to_bytes("browse request payload: rSetFillLevel");
+  const Bytes first =
+      build_msg("MSG", 3, 4, SequenceHeader{10, 11}, body, pin.policy, pin.mode, keys);
+  const Bytes second =
+      build_msg("MSG", 3, 4, SequenceHeader{12, 13}, body, pin.policy, pin.mode, keys);
+  EXPECT_EQ(to_hex(first), pin.first_hex);
+  EXPECT_EQ(to_hex(second), pin.second_hex);
+  for (const Bytes* wire : {&first, &second}) {
+    const MsgParsed parsed = parse_msg(*wire, pin.policy, pin.mode, keys);
+    EXPECT_EQ(parsed.channel_id, 3u);
+    EXPECT_EQ(parsed.token_id, 4u);
+    EXPECT_EQ(parsed.body, body);
+  }
+  EXPECT_EQ(parse_msg(second, pin.policy, pin.mode, keys).seq.request_id, 13u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    WireBytes, SymmetricSecurityPinned,
+    ::testing::Values(
+        PinnedMsg{SecurityPolicy::Basic256Sha256, MessageSecurityMode::SignAndEncrypt,
+                  "4d534746600000000300000004000000c8afe96d2526747035b72a4ce8be80bc26ae19dd"
+                  "580070c01d3163f256ac8d776ee4237e202982a7a76a45d5675c0ef3588dd599a896449d"
+                  "9da6dab3152d1fc25bbaf082c3078adb2055e01f6947ec26",
+                  "4d534746600000000300000004000000ecda8f13f65194237ac37b5c99e88e60b59c0a04"
+                  "e537e6c41b3d9dc870234573cd8162595a12f71c39335b5a3ab3d644f8cc9ac139a970c7"
+                  "28585d5fd69913afeda380f30bc65c568ea4b2c037c6a29b"},
+        PinnedMsg{SecurityPolicy::Basic128Rsa15, MessageSecurityMode::Sign,
+                  "4d5347465100000003000000040000000a0000000b00000062726f777365207265717565"
+                  "7374207061796c6f61643a207253657446696c6c4c6576656c3eeb6299481736d0d971fc"
+                  "f1e4d10c5bdb7305ea",
+                  "4d5347465100000003000000040000000c0000000d00000062726f777365207265717565"
+                  "7374207061796c6f61643a207253657446696c6c4c6576656c51cd69889e9b72bebd7edf"
+                  "692bdde9e40f764998"}),
+    [](const ::testing::TestParamInfo<PinnedMsg>& info) {
+      return info.param.policy == SecurityPolicy::Basic256Sha256
+                 ? std::string("Basic256Sha256SignAndEncrypt")
+                 : std::string("Basic128Rsa15Sign");
+    });
 
 TEST(SymmetricSecurityNegative, TamperedMessageRejected) {
   Rng rng(8);

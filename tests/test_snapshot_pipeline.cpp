@@ -365,7 +365,9 @@ TEST(SnapshotV6, VarOffsetTableCorruptionRejected) {
     mutated[offsets + bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
     write_file_bytes(bad_path, mutated);
     const auto loaded = load_snapshots(bad_path, 42);
-    if (loaded.has_value()) EXPECT_EQ(loaded->front().hosts.size(), 10u);
+    if (loaded.has_value()) {
+      EXPECT_EQ(loaded->front().hosts.size(), 10u);
+    }
   }
 
   std::remove(path.c_str());
@@ -421,7 +423,9 @@ TEST(SnapshotV6, CertDictionaryCorruptionRejected) {
     mutated[at] ^= 0x40;
     write_file_bytes(bad_path, mutated);
     const auto loaded = load_snapshots(bad_path, 42);
-    if (loaded.has_value()) EXPECT_EQ(loaded->front().hosts.size(), 10u);
+    if (loaded.has_value()) {
+      EXPECT_EQ(loaded->front().hosts.size(), 10u);
+    }
   }
 
   std::remove(path.c_str());
