@@ -156,5 +156,5 @@ int main() {
        lock_step_hours > 20 * interleaved_hours},
   };
   std::fputs(render_comparison("Scan window (§A.2) vs paper", window_rows).c_str(), stdout);
-  return 0;
+  return all_reproduced(rows) && all_reproduced(window_rows) ? 0 : 1;
 }

@@ -60,5 +60,5 @@ int main() {
       compare_num("first measurement servers", 1040, first.servers, 0),
   };
   std::fputs(render_comparison("Figure 2 vs paper", rows).c_str(), stdout);
-  return 0;
+  return all_reproduced(rows) ? 0 : 1;
 }

@@ -61,5 +61,5 @@ int main() {
       compare_num("S3 as most secure", 8, stats.policy_most[SP::Aes256Sha256RsaPss], 0),
   };
   std::fputs(render_comparison("Figure 3 vs paper", rows).c_str(), stdout);
-  return 0;
+  return all_reproduced(rows) ? 0 : 1;
 }

@@ -51,5 +51,5 @@ int main() {
   std::fputs(render_comparison("Figure 4 vs paper", rows).c_str(), stdout);
   std::puts("(paper's figure annotates exactly these four bars; MD5 segments on the D1/D2");
   std::puts(" bars correspond to the unannotated MD5 legend entries — see EXPERIMENTS.md)");
-  return 0;
+  return all_reproduced(rows) ? 0 : 1;
 }

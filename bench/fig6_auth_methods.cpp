@@ -45,5 +45,5 @@ int main() {
       compare_num("publicly accessible", 493, stats.accessible, 0),
   };
   std::fputs(render_comparison("Figure 6 vs paper", rows).c_str(), stdout);
-  return 0;
+  return all_reproduced(rows) ? 0 : 1;
 }

@@ -45,5 +45,5 @@ int main() {
        std::abs(exec86 - 0.61) < 0.025},
   };
   std::fputs(render_comparison("Figure 7 vs paper", rows).c_str(), stdout);
-  return 0;
+  return all_reproduced(rows) ? 0 : 1;
 }

@@ -77,5 +77,5 @@ int main() {
       {"deficient share", "92%", fmt_pct(pct), std::abs(pct - 0.92) < 0.005},
   };
   std::fputs(render_comparison("Figure 8 / headline vs paper", rows).c_str(), stdout);
-  return 0;
+  return all_reproduced(rows) ? 0 : 1;
 }

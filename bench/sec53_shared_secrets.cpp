@@ -42,5 +42,5 @@ int main() {
       compare_num("positive control detections", 8, static_cast<double>(control.affected()), 0),
   };
   std::fputs(render_comparison("Section 5.3 vs paper", rows).c_str(), stdout);
-  return 0;
+  return all_reproduced(rows) ? 0 : 1;
 }

@@ -64,5 +64,5 @@ int main() {
       compare_num("reuse growth in final week (+3)", 3, reuse_last - reuse_prev, 0),
   };
   std::fputs(render_comparison("Section 5.5 vs paper", rows).c_str(), stdout);
-  return 0;
+  return all_reproduced(rows) ? 0 : 1;
 }

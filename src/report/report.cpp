@@ -70,6 +70,13 @@ std::string render_comparison(const std::string& title, const std::vector<Compar
   return out.str();
 }
 
+bool all_reproduced(const std::vector<ComparisonRow>& rows) {
+  for (const auto& row : rows) {
+    if (!row.matches) return false;
+  }
+  return true;
+}
+
 std::string fmt_int(long v) { return std::to_string(v); }
 
 std::string fmt_pct(double fraction, int decimals) {

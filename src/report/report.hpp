@@ -33,6 +33,10 @@ struct ComparisonRow {
 
 std::string render_comparison(const std::string& title, const std::vector<ComparisonRow>& rows);
 
+/// True when every row matches: the paper benches exit non-zero
+/// otherwise, so a figure that stops reproducing fails CI.
+bool all_reproduced(const std::vector<ComparisonRow>& rows);
+
 std::string fmt_int(long v);
 std::string fmt_pct(double fraction_0_to_1, int decimals = 1);
 std::string fmt_double(double v, int decimals = 2);
