@@ -2,7 +2,7 @@
 // analyze as a stream.
 //
 // The figure/table benches no longer materialize the dataset: the first
-// binary to run records the eight-week campaign into a chunked v5
+// binary to run records the eight-week campaign into a chunked v6
 // snapshot file (streaming one measurement at a time), and every bench
 // derives its numbers from one StudyAnalysis computed by the shared
 // src/analysis/ aggregator over that file — chunk by chunk, in bounded
@@ -29,7 +29,8 @@ inline std::string snapshot_cache_path() {
 }
 
 /// Ensures the recorded campaign exists on disk and returns its path.
-/// Accepts both the current chunked v5 cache and a pre-existing v4 one.
+/// A cache the reader rejects (corrupt, mis-seeded, or in a retired v4/v5
+/// format) is re-recorded.
 inline std::string ensure_snapshot_cache() {
   const std::string path = snapshot_cache_path();
   if (std::getenv("OPCUA_STUDY_FRESH") == nullptr) {

@@ -1,7 +1,7 @@
 // Cross-campaign diff throughput: host re-identification and posture
 // transition matrices at follow-up-study scale.
 //
-// Builds a synthetic base measurement of N hosts (chunked v5 file),
+// Builds a synthetic base measurement of N hosts (chunked v6 file),
 // evolves it into a follow-up campaign with the deterministic
 // FollowupModel, then runs the campaign diff three ways:
 //   stream/1:  both campaigns streamed chunk-by-chunk, single thread
@@ -208,7 +208,7 @@ int main(int argc, char** argv) {
     const std::string base_path = "/tmp/opcua_diff_base_" + std::to_string(hosts) + ".bin";
     const std::string followup_path = "/tmp/opcua_diff_followup_" + std::to_string(hosts) + ".bin";
 
-    // ---- base campaign: generator -> chunked v5 stream ------------------
+    // ---- base campaign: generator -> chunked v6 stream ------------------
     obs::logf(obs::LogLevel::info, "[bench] %zu hosts: writing base campaign...", hosts);
     auto start = std::chrono::steady_clock::now();
     {

@@ -1,7 +1,7 @@
 // Campaign-series throughput: N-way host-identity chaining and timeline
 // analysis at follow-up-study scale.
 //
-// Builds a synthetic base measurement of N hosts (chunked v5 file), grows
+// Builds a synthetic base measurement of N hosts (chunked v6 file), grows
 // it into a 4-campaign series with extend_series (each step a fresh
 // deterministic draw of the evolution model), then analyzes the series
 // three ways:

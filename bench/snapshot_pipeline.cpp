@@ -1,6 +1,6 @@
 // Snapshot pipeline throughput: streaming chunked aggregation vs. the
 // legacy load-everything path, at follow-up-study scale — plus the v6
-// columnar format against the v5 row format.
+// file size and columnar posture pass in absolute terms.
 //
 // The paper's released dataset (~2k hosts/week) fits in RAM; the PAM 2022
 // follow-up scanned an order of magnitude more, and the ROADMAP target is
@@ -12,16 +12,16 @@
 //              deterministically in chunk order
 //   load-all:  the pre-PR-3 path — whole dataset materialized, then
 //              aggregated in memory
-// It also writes the same week as v5 to measure what the v6 cert
-// dictionary + column layout buys:
-//   compression_ratio:  v5 bytes / v6 bytes for the identical records
-//   posture_speedup:    cold posture pass (collect_postures, 1 thread) on
-//                       the mmapped v6 columns vs v5 chunk record decode
-// It verifies every path produces bit-identical figures/postures, reports
-// records/s and a peak-RSS proxy (VmHWM before/after the load-all phase —
-// streaming must not scale its footprint with N), and emits
-// BENCH_snapshot.json (plus a v5-side BENCH_snapshot_v5.json artifact)
-// for the CI bench-regression guard.
+// It also measures what the v6 cert dictionary + column layout buys:
+//   bytes_per_host_v6:          file bytes per host record
+//   posture_v6_records_per_s:   cold posture pass (collect_postures,
+//                               1 thread) over the mmapped columns
+// It verifies every path produces bit-identical figures, and that the
+// posture pass equals, record by record, postures built from the assess/
+// reference helpers over the decoded records; reports records/s and a
+// peak-RSS proxy (VmHWM before/after the load-all phase — streaming must
+// not scale its footprint with N), and emits BENCH_snapshot.json for the
+// CI bench-regression guard.
 //
 //   ./build/snapshot_pipeline [--quick] [--json PATH] [--hosts N[,M...]]
 //                             [--threads T] [--keep FILE]
@@ -34,12 +34,14 @@
 #include <vector>
 
 #include "analysis/analysis.hpp"
+#include "assess/assess.hpp"
 #include "crypto/keycache.hpp"
 #include "report/json.hpp"
 #include "report/report.hpp"
 #include "scanner/snapshot_io.hpp"
 #include "series/matcher.hpp"
 #include "util/date.hpp"
+#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 #include "obs/log.hpp"
 
@@ -180,31 +182,55 @@ HostScanRecord make_host(std::size_t i, const std::vector<Bytes>& certs) {
   return host;
 }
 
+/// A host's posture built from the assess/ reference helpers over the
+/// full record — the oracle the columnar posture pass must reproduce.
+HostPosture reference_posture(const HostScanRecord& host) {
+  HostPosture p;
+  p.ip = host.ip;
+  p.port = host.port;
+  p.protocol = host.protocol;
+  p.asn = host.asn;
+  p.uri_hash = host.application_uri.empty() ? 0 : hash64(host.application_uri);
+  MessageSecurityMode strongest_mode = MessageSecurityMode::Invalid;
+  for (const auto mode : host.advertised_modes()) {
+    if (security_mode_rank(mode) > security_mode_rank(strongest_mode)) strongest_mode = mode;
+  }
+  p.mode_bucket = strongest_mode == MessageSecurityMode::SignAndEncrypt ? 2
+                  : strongest_mode == MessageSecurityMode::Sign         ? 1
+                                                                        : 0;
+  const auto& info = policy_info(strongest_policy(host));
+  p.policy_bucket = info.secure ? 2 : info.deprecated ? 1 : 0;
+  for (const auto policy : host.advertised_policies()) {
+    p.supports_deprecated |= policy_info(policy).deprecated;
+  }
+  p.anonymous = host.anonymous_offered;
+  p.deficient = is_deficient(host);
+  p.fps = host.distinct_cert_fingerprints();
+  std::sort(p.fps.begin(), p.fps.end());
+  p.fps.erase(std::unique(p.fps.begin(), p.fps.end()), p.fps.end());
+  return p;
+}
+
+// Absolute v6 bounds (bench/baselines/snapshot.json gates the same values).
+constexpr double kMaxBytesPerHost = 295;
+constexpr double kMinPostureRecordsPerSecond = 600000;
+
 struct SizeResult {
   std::size_t hosts = 0;
-  std::uint64_t file_bytes = 0;     // v6 (the default format)
-  std::uint64_t file_bytes_v5 = 0;  // same records, row format
+  std::uint64_t file_bytes = 0;
   double write_seconds = 0;
-  double write_v5_seconds = 0;
   double stream1_seconds = 0;
   double streamN_seconds = 0;
   double legacy_seconds = 0;
-  double posture_v5_seconds = 0;  // collect_postures, 1 thread, v5 decode
-  double posture_v6_seconds = 0;  // collect_postures, 1 thread, v6 columns
+  double posture_seconds = 0;  // collect_postures, 1 thread, mmapped columns
   std::uint64_t rss_after_stream_kb = 0;
   std::uint64_t rss_after_legacy_kb = 0;
   bool identical = false;
   double records_per_s(double seconds) const {
     return static_cast<double>(hosts) / std::max(seconds, 1e-9);
   }
-  double compression_ratio() const {
-    return static_cast<double>(file_bytes_v5) / std::max<double>(1, static_cast<double>(file_bytes));
-  }
-  double posture_speedup() const {
-    return posture_v5_seconds / std::max(posture_v6_seconds, 1e-9);
-  }
-  double bytes_per_host(std::uint64_t bytes) const {
-    return static_cast<double>(bytes) / std::max<double>(1, static_cast<double>(hosts));
+  double bytes_per_host() const {
+    return static_cast<double>(file_bytes) / std::max<double>(1, static_cast<double>(hosts));
   }
 };
 
@@ -270,23 +296,6 @@ int main(int argc, char** argv) {
       result.file_bytes = static_cast<std::uint64_t>(in.tellg());
     }
 
-    // ---- write the identical week as v5 for the format comparison -------
-    const std::string path_v5 = path + ".v5";
-    obs::logf(obs::LogLevel::info, "[bench] %zu hosts: writing v5 row-format snapshot...", hosts);
-    start = std::chrono::steady_clock::now();
-    {
-      SnapshotWriter writer(path_v5, kSeed, SnapshotWriter::kDefaultChunkRecords, 5);
-      writer.begin_snapshot(0, days_from_civil({2022, 3, 6}));
-      for (std::size_t i = 0; i < hosts; ++i) writer.add_host(make_host(i, certs));
-      writer.end_snapshot(hosts * 2, hosts + hosts / 2);
-      writer.finish();
-    }
-    result.write_v5_seconds = seconds_since(start);
-    {
-      std::ifstream in(path_v5, std::ios::binary | std::ios::ate);
-      result.file_bytes_v5 = static_cast<std::uint64_t>(in.tellg());
-    }
-
     // ---- stream/1 and stream/T ------------------------------------------
     obs::logf(obs::LogLevel::info, "[bench] %zu hosts: streaming aggregation (1 thread)...", hosts);
     AnalysisOptions options;
@@ -307,58 +316,52 @@ int main(int argc, char** argv) {
     obs::logf(obs::LogLevel::info, "[bench] %zu hosts: legacy load-all aggregation...", hosts);
     start = std::chrono::steady_clock::now();
     StudyAnalysis legacy;
+    std::vector<HostPosture> oracle;  // assess/ helpers over the decoded records
     {
       const SnapshotReader reader(path, kSeed);
       const std::vector<ScanSnapshot> all = reader.load_all();  // the old world
       legacy = analyze_snapshots(all, AnalysisOptions{});
+      result.legacy_seconds = seconds_since(start);
+      oracle.reserve(all.back().hosts.size());
+      for (const HostScanRecord& host : all.back().hosts) {
+        oracle.push_back(reference_posture(host));
+      }
     }
-    result.legacy_seconds = seconds_since(start);
     result.rss_after_legacy_kb = peak_rss_kb();
 
-    // ---- cold posture pass: v6 mmapped columns vs v5 record decode ------
-    obs::logf(obs::LogLevel::info, "[bench] %zu hosts: posture pass, v5 decode vs v6 columns...", hosts);
-    std::vector<HostPosture> postures_v5, postures_v6;
+    // ---- cold posture pass over the mmapped columns ---------------------
+    obs::logf(obs::LogLevel::info, "[bench] %zu hosts: columnar posture pass...", hosts);
+    std::vector<HostPosture> postures;
     {
       ThreadPool pool(1);
-      const SnapshotReader reader_v5(path_v5, kSeed);
-      const ReaderRecordSource source_v5(reader_v5);
+      const SnapshotReader reader(path, kSeed);
       start = std::chrono::steady_clock::now();
-      postures_v5 = collect_postures(source_v5, pool);
-      result.posture_v5_seconds = seconds_since(start);
-
-      const SnapshotReader reader_v6(path, kSeed);
-      const ReaderRecordSource source_v6(reader_v6);
-      start = std::chrono::steady_clock::now();
-      postures_v6 = collect_postures(source_v6, pool);
-      result.posture_v6_seconds = seconds_since(start);
+      postures = collect_postures(reader, pool);
+      result.posture_seconds = seconds_since(start);
     }
 
     result.identical = stream1.figures_equal(streamN) && stream1.figures_equal(legacy) &&
-                       postures_v5 == postures_v6;
-    if (keep_path.empty()) {
-      std::remove(path.c_str());
-      std::remove(path_v5.c_str());
-    }
+                       postures == oracle;
+    if (keep_path.empty()) std::remove(path.c_str());
     results.push_back(result);
   }
 
   // ---- report -----------------------------------------------------------
   std::puts("Snapshot pipeline throughput (synthetic follow-up-scale measurement)\n");
   TextTable table;
-  table.set_header({"hosts", "v6 file", "v5 file", "ratio", "write rec/s", "stream/1 rec/s",
+  table.set_header({"hosts", "v6 file", "B/host", "write rec/s", "stream/1 rec/s",
                     "stream/" + std::to_string(threads) + " rec/s", "scaling", "load-all rec/s",
-                    "posture v5->v6", "identical"});
+                    "posture rec/s", "identical"});
   for (const auto& r : results) {
     table.add_row({fmt_int(static_cast<long>(r.hosts)),
                    fmt_double(static_cast<double>(r.file_bytes) / (1024.0 * 1024.0), 1) + " MB",
-                   fmt_double(static_cast<double>(r.file_bytes_v5) / (1024.0 * 1024.0), 1) + " MB",
-                   fmt_double(r.compression_ratio(), 2) + "x",
+                   fmt_double(r.bytes_per_host(), 1),
                    fmt_int(static_cast<long>(r.records_per_s(r.write_seconds))),
                    fmt_int(static_cast<long>(r.records_per_s(r.stream1_seconds))),
                    fmt_int(static_cast<long>(r.records_per_s(r.streamN_seconds))),
                    fmt_double(r.stream1_seconds / std::max(r.streamN_seconds, 1e-9), 2) + "x",
                    fmt_int(static_cast<long>(r.records_per_s(r.legacy_seconds))),
-                   fmt_double(r.posture_speedup(), 2) + "x",
+                   fmt_int(static_cast<long>(r.records_per_s(r.posture_seconds))),
                    r.identical ? "yes" : "NO"});
   }
   std::fputs(table.str().c_str(), stdout);
@@ -377,16 +380,19 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(largest.rss_after_legacy_kb / 1024),
               static_cast<unsigned long long>(largest.file_bytes / (1024 * 1024)));
 
+  const double posture_rate = largest.records_per_s(largest.posture_seconds);
   std::vector<ComparisonRow> rows = {
       {"stream/1 == stream/" + std::to_string(threads) + " == load-all (figure stats), "
-       "v5 postures == v6 postures",
+       "postures == assess/ oracle",
        "equal", all_identical ? "equal" : "MISMATCH", all_identical},
-      {"v6 dictionary compression at " + fmt_int(static_cast<long>(largest.hosts)) + " hosts",
-       ">= 3x", fmt_double(largest.compression_ratio(), 2) + "x",
-       largest.compression_ratio() >= 3.0},
+      {"v6 file size at " + fmt_int(static_cast<long>(largest.hosts)) + " hosts",
+       "<= " + fmt_int(static_cast<long>(kMaxBytesPerHost)) + " B/host",
+       fmt_double(largest.bytes_per_host(), 1) + " B/host",
+       largest.bytes_per_host() <= kMaxBytesPerHost},
       {"v6 columnar posture pass at " + fmt_int(static_cast<long>(largest.hosts)) + " hosts",
-       ">= 2x", fmt_double(largest.posture_speedup(), 2) + "x",
-       largest.posture_speedup() >= 2.0},
+       ">= " + fmt_int(static_cast<long>(kMinPostureRecordsPerSecond)) + " rec/s",
+       fmt_int(static_cast<long>(posture_rate)) + " rec/s",
+       posture_rate >= kMinPostureRecordsPerSecond},
   };
   if (hardware >= 4 && threads >= 4) {
     rows.push_back({"thread-scaling speedup at " + fmt_int(static_cast<long>(largest.hosts)) +
@@ -412,19 +418,13 @@ int main(int argc, char** argv) {
       json.begin_object()
           .field("hosts", static_cast<std::uint64_t>(r.hosts))
           .field("file_mb", static_cast<double>(r.file_bytes) / (1024.0 * 1024.0))
-          .field("file_mb_v5", static_cast<double>(r.file_bytes_v5) / (1024.0 * 1024.0))
-          .field("bytes_per_host_v6", r.bytes_per_host(r.file_bytes))
-          .field("bytes_per_host_v5", r.bytes_per_host(r.file_bytes_v5))
-          .field("compression_ratio", r.compression_ratio())
+          .field("bytes_per_host_v6", r.bytes_per_host())
           .field("write_records_per_s", r.records_per_s(r.write_seconds))
-          .field("write_v5_records_per_s", r.records_per_s(r.write_v5_seconds))
           .field("stream1_records_per_s", r.records_per_s(r.stream1_seconds))
           .field("streamN_records_per_s", r.records_per_s(r.streamN_seconds))
           .field("thread_scaling", r.stream1_seconds / std::max(r.streamN_seconds, 1e-9))
           .field("legacy_records_per_s", r.records_per_s(r.legacy_seconds))
-          .field("posture_v5_records_per_s", r.records_per_s(r.posture_v5_seconds))
-          .field("posture_v6_records_per_s", r.records_per_s(r.posture_v6_seconds))
-          .field("posture_speedup", r.posture_speedup())
+          .field("posture_v6_records_per_s", r.records_per_s(r.posture_seconds))
           .field("rss_after_stream_kb", r.rss_after_stream_kb)
           .field("rss_after_legacy_kb", r.rss_after_legacy_kb)
           .field("outputs_identical", r.identical)
@@ -434,40 +434,13 @@ int main(int argc, char** argv) {
         .field("largest_hosts", static_cast<std::uint64_t>(largest.hosts))
         .field("largest_thread_scaling", scaling)
         .field("largest_stream_vs_legacy", stream_vs_legacy)
-        .field("largest_compression_ratio", largest.compression_ratio())
-        .field("largest_posture_speedup", largest.posture_speedup())
+        .field("largest_bytes_per_host_v6", largest.bytes_per_host())
+        .field("largest_posture_v6_records_per_s", posture_rate)
         .field("all_outputs_identical", all_identical)
         .end_object();
     std::ofstream out(json_path, std::ios::trunc);
     out << json.str();
     obs::logf(obs::LogLevel::info, "[bench] wrote %s", json_path.c_str());
-  }
-
-  // v5-side artifact: the row-format numbers alone, so CI uploads carry a
-  // directly comparable v5 vs v6 pair per run.
-  {
-    std::string v5_json_path = json_path;
-    const std::size_t dot = v5_json_path.rfind(".json");
-    if (dot != std::string::npos) {
-      v5_json_path.replace(dot, 5, "_v5.json");
-    } else {
-      v5_json_path += "_v5";
-    }
-    JsonWriter json;
-    json.begin_object().field("quick", quick).key("sizes").begin_array();
-    for (const auto& r : results) {
-      json.begin_object()
-          .field("hosts", static_cast<std::uint64_t>(r.hosts))
-          .field("file_mb", static_cast<double>(r.file_bytes_v5) / (1024.0 * 1024.0))
-          .field("bytes_per_host", r.bytes_per_host(r.file_bytes_v5))
-          .field("write_records_per_s", r.records_per_s(r.write_v5_seconds))
-          .field("posture_records_per_s", r.records_per_s(r.posture_v5_seconds))
-          .end_object();
-    }
-    json.end_array().end_object();
-    std::ofstream out(v5_json_path, std::ios::trunc);
-    out << json.str();
-    obs::logf(obs::LogLevel::info, "[bench] wrote %s", v5_json_path.c_str());
   }
 
   // Output identity gates the exit code; throughput/scaling targets are

@@ -1,11 +1,12 @@
 // Chunk-parallel implementation of the shared analysis library.
 //
-// Each worker aggregates whole chunks into a ChunkPartial; partials are
-// merged on the caller in chunk-index order, so every statistic —
-// including order-sensitive ones like the Fig. 7 fraction vectors and the
-// renewal-event list — is identical to a sequential pass over the same
-// records, and therefore identical to the assess/ reference functions
-// (the tests pin both equalities).
+// Each worker aggregates whole chunks into a ChunkPartial, reading the
+// chunk's columns in place; partials are merged on the caller in
+// chunk-index order, so every statistic — including order-sensitive ones
+// like the Fig. 7 fraction vectors and the renewal-event list — is
+// identical to a sequential pass over the same records, and therefore
+// identical to the assess/ reference functions (the tests pin both
+// equalities).
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -27,7 +28,7 @@ void merge_count_map(std::map<K, V>& into, const std::map<K, V>& from) {
   for (const auto& [key, count] : from) into[key] += count;
 }
 
-// ------------------------------------------- v6 columnar fast path ----
+// ----------------------------------------- per-certificate facts ----
 
 // Everything the figure passes ever derive from a certificate, computed
 // once per *dictionary entry* instead of once per host occurrence. On a
@@ -99,7 +100,7 @@ struct DictCertCache {
 /// Run fn(view) over one chunk, converting cursor decode failures into the
 /// same SnapshotError shape read_chunk reports.
 template <typename Fn>
-void visit_columnar(const SnapshotReader& reader, std::size_t chunk, Fn&& fn) {
+void visit_columns(const SnapshotReader& reader, std::size_t chunk, Fn&& fn) {
   const ColumnView view = reader.column_view(chunk);
   try {
     fn(view);
@@ -123,35 +124,10 @@ struct CensusPartial {
   std::map<std::string, Cluster> clusters;
   std::map<std::string, Bignum> moduli;  // hex(n) -> n, deduplicated
 
-  void absorb(const HostScanRecord& host, bool collect_moduli) {
-    if (collect_moduli) {
-      for (const auto& der : host.distinct_certificates()) {
-        try {
-          const Certificate cert = x509_parse(der);
-          moduli.try_emplace(cert.public_key.n.to_hex(), cert.public_key.n);
-        } catch (const DecodeError&) {
-        }
-      }
-    }
-    if (host.is_discovery_server()) return;
-    for (const auto& der : host.distinct_certificates()) {
-      const std::string fp = to_hex(x509_thumbprint(der));
-      Cluster& cluster = clusters[fp];
-      ++cluster.hosts;
-      cluster.ases.insert(host.asn);
-      if (cluster.org.empty()) {
-        try {
-          cluster.org = x509_parse(der).subject.organization;
-        } catch (const DecodeError&) {
-        }
-      }
-    }
-  }
-
-  /// Columnar mirror of absorb(): the head id list *is* the distinct
-  /// certificate list (the writer interns by content), so every per-DER
-  /// computation becomes a dictionary lookup.
-  void absorb_columnar(const ColumnView& view, std::size_t i, const DictCertCache& cache,
+  /// The head id list *is* the distinct certificate list (the writer
+  /// interns by content), so every per-DER computation becomes a
+  /// dictionary lookup.
+  void absorb(const ColumnView& view, std::size_t i, const DictCertCache& cache,
                        std::vector<std::uint32_t>& ids, bool collect_moduli) {
     ids.clear();
     VarRecordCursor cursor(view.var_record(i));
@@ -252,235 +228,13 @@ struct ChunkPartial {
     }
   }
 
-  void absorb(const HostScanRecord& host, bool final_week, const FinalWeekSets& sets) {
-    absorb_quality(static_cast<std::uint8_t>(host.completeness), host.retries,
-                   host.fault_events);
-    proto_hosts[host.protocol]++;
-    // Fig. 7 is the one figure with no discovery-server filter (the
-    // reference assess_access_rights keys on session outcome alone).
-    if (final_week && host.session == SessionOutcome::accessible) {
-      int vars = 0, readable = 0, writable = 0, methods = 0, executable = 0;
-      for (const auto& node : host.nodes) {
-        if (node.node_class == NodeClass::Variable) {
-          ++vars;
-          readable += node.readable;
-          writable += node.writable;
-        } else if (node.node_class == NodeClass::Method) {
-          ++methods;
-          executable += node.executable;
-        }
-      }
-      if (vars > 0) {
-        access.read_fractions.push_back(static_cast<double>(readable) / vars);
-        access.write_fractions.push_back(static_cast<double>(writable) / vars);
-      }
-      if (methods > 0) {
-        access.exec_fractions.push_back(static_cast<double>(executable) / methods);
-      }
-    }
-
-    const std::string cluster = manufacturer_cluster(host.application_uri);
-    if (host.is_discovery_server()) {
-      ++discovery;
-      return;
-    }
-    ++servers;
-    by_manufacturer[cluster]++;
-    via_reference += host.found_via_reference;
-    non_default_port += host.port != kOpcUaDefaultPort;
-
-    const SecurityPolicy max = strongest_policy(host);
-    const auto cert = primary_certificate(host);
-    const bool cert_too_weak =
-        cert && max != SecurityPolicy::None &&
-        classify_certificate(max, cert->signature_hash, cert->key_bits()) ==
-            CertConformance::too_weak;
-    const bool host_deficient = max == SecurityPolicy::None || policy_info(max).deprecated ||
-                                cert_too_weak || host.anonymous_offered;
-    deficient += host_deficient;
-    if (final_week) {
-      proto_servers[host.protocol]++;
-      if (host_deficient) proto_deficient[host.protocol]++;
-      if (host.anonymous_offered) proto_anonymous[host.protocol]++;
-    }
-
-    // History / corpus / fleet membership (§5.5).
-    HostObs obs;
-    obs.ip = host.ip;
-    obs.port = host.port;
-    obs.software = host.software_version;
-    const std::vector<Bytes> ders = host.distinct_certificates();
-    std::vector<std::string> fps;  // one thumbprint per DER, computed once
-    fps.reserve(ders.size());
-    bool in_big_cluster = false;
-    for (const auto& der : ders) {
-      const std::string& fp = fps.emplace_back(to_hex(x509_thumbprint(der)));
-      obs.fps.insert(fp);
-      try {
-        const Certificate parsed = x509_parse(der);
-        obs.hashes[fp] = parsed.signature_hash;
-        corpus.try_emplace(fp, parsed.signature_hash, parsed.not_before_days);
-      } catch (const DecodeError&) {
-      }
-      if (sets.big_cluster_fps.contains(fp)) in_big_cluster = true;
-    }
-    reuse_devices += in_big_cluster;
-    history.push_back(std::move(obs));
-
-    if (!final_week) return;
-
-    // ----- Fig. 3: security modes and policies --------------------------
-    ++modes.servers;
-    const auto advertised_modes = host.advertised_modes();
-    MessageSecurityMode weakest_mode = MessageSecurityMode::Invalid;
-    MessageSecurityMode strongest_mode = MessageSecurityMode::Invalid;
-    for (const auto mode : advertised_modes) {
-      modes.mode_support[mode]++;
-      if (weakest_mode == MessageSecurityMode::Invalid ||
-          security_mode_rank(mode) < security_mode_rank(weakest_mode)) {
-        weakest_mode = mode;
-      }
-      if (security_mode_rank(mode) > security_mode_rank(strongest_mode)) strongest_mode = mode;
-    }
-    if (weakest_mode != MessageSecurityMode::Invalid) modes.mode_least[weakest_mode]++;
-    if (strongest_mode != MessageSecurityMode::Invalid) modes.mode_most[strongest_mode]++;
-    if (strongest_mode == MessageSecurityMode::None) ++modes.none_only;
-    if (security_mode_rank(strongest_mode) >= security_mode_rank(MessageSecurityMode::Sign)) {
-      ++modes.secure_mode_capable;
-    }
-
-    const auto policies = host.advertised_policies();
-    SecurityPolicy weakest = SecurityPolicy::None;
-    SecurityPolicy strongest = SecurityPolicy::None;
-    int weakest_rank = 1000, strongest_rank = -1;
-    bool any_deprecated = false;
-    for (const auto policy : policies) {
-      modes.policy_support[policy]++;
-      const auto& info = policy_info(policy);
-      any_deprecated |= info.deprecated;
-      if (info.rank < weakest_rank) {
-        weakest_rank = info.rank;
-        weakest = policy;
-      }
-      if (info.rank > strongest_rank) {
-        strongest_rank = info.rank;
-        strongest = policy;
-      }
-    }
-    if (!policies.empty()) {
-      modes.policy_least[weakest]++;
-      modes.policy_most[strongest]++;
-      if (policy_info(weakest).secure) ++modes.strong_enforcing;
-      if (policy_info(strongest).secure) ++modes.strong_capable;
-      if (policy_info(strongest).deprecated) ++modes.deprecated_max;
-    }
-    modes.deprecated_supported += any_deprecated;
-
-    // ----- Fig. 4: certificate conformance ------------------------------
-    if (cert) {
-      ++certs.hosts_with_cert;
-      if (!cert->self_signed()) ++certs.ca_signed;
-      const CertClassKey key{cert->signature_hash, cert->key_bits()};
-      for (const auto policy : policies) {
-        certs.class_counts[policy][key]++;
-        certs.announced_with_cert[policy]++;
-        switch (classify_certificate(policy, cert->signature_hash, cert->key_bits())) {
-          case CertConformance::too_weak: certs.too_weak[policy]++; break;
-          case CertConformance::too_strong: certs.too_strong[policy]++; break;
-          case CertConformance::conformant: break;
-        }
-      }
-      if (cert_too_weak) ++certs.weaker_than_max;
-    }
-
-    // ----- Fig. 6 / Table 2: authentication -----------------------------
-    ++auth.servers;
-    AuthRow probe;
-    for (const auto token : host.advertised_token_types()) {
-      switch (token) {
-        case UserTokenType::Anonymous: probe.anonymous = true; break;
-        case UserTokenType::UserName: probe.credentials = true; break;
-        case UserTokenType::Certificate: probe.certificate = true; break;
-        case UserTokenType::IssuedToken: probe.token = true; break;
-      }
-    }
-    AuthRow& row = auth_rows.try_emplace(probe.key(), probe).first->second;
-    const bool sc_rejected =
-        host.channel == ChannelOutcome::cert_rejected || host.channel == ChannelOutcome::failed;
-    if (sc_rejected) {
-      ++auth.channel_rejected;
-      ++row.channel_rejected;
-    } else {
-      ++auth.channel_capable;
-    }
-    if (probe.anonymous) {
-      ++auth.anonymous_offered;
-      if (!sc_rejected) ++auth.anonymous_channel_capable;
-      bool none_mode = false;
-      for (const auto mode : advertised_modes) none_mode |= mode == MessageSecurityMode::None;
-      if (!none_mode) ++auth.anonymous_secure_only;
-    }
-    if (host.session == SessionOutcome::accessible) {
-      ++auth.accessible;
-      switch (classify_namespaces(host.namespaces)) {
-        case SystemClass::production:
-          ++auth.production;
-          ++row.production;
-          break;
-        case SystemClass::test:
-          ++auth.test;
-          ++row.test;
-          break;
-        case SystemClass::unclassified:
-          ++auth.unclassified;
-          ++row.unclassified;
-          break;
-      }
-    } else if (!sc_rejected) {
-      ++auth.auth_rejected;
-      ++row.auth_rejected;
-    }
-
-    // ----- Fig. 8: deficit breakdown ------------------------------------
-    ++deficits.servers;
-    auto tally = [&](const char* deficit) {
-      deficits.by_manufacturer[deficit][cluster]++;
-      deficits.by_as[deficit][host.asn]++;
-    };
-    if (max == SecurityPolicy::None) {
-      ++deficits.none_only;
-      tally("None");
-    }
-    if (max != SecurityPolicy::None && policy_info(max).deprecated) {
-      ++deficits.deprecated_only;
-      tally("Deprecated Policies");
-    }
-    if (cert_too_weak) {
-      ++deficits.weak_certificate;
-      tally("Too Weak Certificate");
-    }
-    bool reused = false;
-    for (const auto& fp : fps) {
-      if (sets.reused_fps.contains(fp)) reused = true;
-    }
-    if (reused) {
-      ++deficits.cert_reuse;
-      tally("Certificate Reuse");
-    }
-    if (host.anonymous_offered) {
-      ++deficits.anonymous_access;
-      tally("Anonymous Access");
-    }
-    if (host_deficient) ++deficits.deficient_total;
-  }
-
-  /// Columnar mirror of absorb() for v6 chunks: scalar figures come from
-  /// the fixed columns, identity strings and cert ids from a lazy cursor
-  /// over the var record, and per-certificate facts from the dictionary
-  /// cache. Mask iteration runs in enum order, which is equivalent to the
-  /// record path's first-seen endpoint order because every mode/policy has
-  /// a distinct rank and no endpoint ever advertises Invalid mode.
-  void absorb_columnar(const ColumnView& view, std::size_t i, const DictCertCache& cache,
+  /// Scalar figures come from the fixed columns, identity strings and
+  /// cert ids from a lazy cursor over the var record, and per-certificate
+  /// facts from the dictionary cache. Mask iteration runs in enum order,
+  /// which is equivalent to the assess/ helpers' first-seen endpoint order
+  /// because every mode/policy has a distinct rank and no endpoint ever
+  /// advertises Invalid mode.
+  void absorb(const ColumnView& view, std::size_t i, const DictCertCache& cache,
                        std::vector<std::uint32_t>& ids, bool final_week,
                        const FinalWeekSets& sets) {
     const std::uint8_t host_flags = view.flags[i];
@@ -525,8 +279,9 @@ struct ChunkPartial {
         view.session[i] == static_cast<std::uint8_t>(SessionOutcome::accessible);
 
     // Var-column reads happen up front in stage order; the figure logic
-    // below then mirrors absorb() statement for statement (within one host
-    // every statistic is a pure accumulation, so ordering is free).
+    // below mirrors the assess/ reference statement for statement (within
+    // one host every statistic is a pure accumulation, so ordering is
+    // free).
     ids.clear();
     VarRecordCursor cursor(view.var_record(i));
     std::string app_uri;
@@ -839,45 +594,6 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
 
 }  // namespace
 
-void ReaderRecordSource::visit_chunk(std::size_t chunk,
-                                     const std::function<void(const HostScanRecord&)>& fn) const {
-  // Each pool worker reuses one decode buffer across all the chunks it
-  // processes instead of allocating (and churning) a fresh vector per call.
-  static thread_local std::vector<HostScanRecord> records;
-  reader_.read_chunk(chunk, records);
-  for (const auto& record : records) fn(record);
-}
-
-SnapshotVectorSource::SnapshotVectorSource(const std::vector<ScanSnapshot>& snapshots,
-                                           std::uint32_t chunk_records)
-    : snapshots_(snapshots) {
-  const std::size_t stride = std::max<std::uint32_t>(1, chunk_records);
-  for (std::size_t week = 0; week < snapshots.size(); ++week) {
-    const std::size_t hosts = snapshots[week].hosts.size();
-    for (std::size_t first = 0; first < hosts; first += stride) {
-      chunks_.push_back({week, first, std::min(stride, hosts - first)});
-    }
-  }
-}
-
-SnapshotMeta SnapshotVectorSource::week_meta(std::size_t week) const {
-  const ScanSnapshot& snapshot = snapshots_[week];
-  SnapshotMeta meta;
-  meta.measurement_index = snapshot.measurement_index;
-  meta.date_days = snapshot.date_days;
-  meta.probes_sent = snapshot.probes_sent;
-  meta.tcp_open_count = snapshot.tcp_open_count;
-  meta.host_count = snapshot.hosts.size();
-  return meta;
-}
-
-void SnapshotVectorSource::visit_chunk(
-    std::size_t chunk, const std::function<void(const HostScanRecord&)>& fn) const {
-  const Span& span = chunks_[chunk];
-  const auto& hosts = snapshots_[span.week].hosts;
-  for (std::size_t i = 0; i < span.count; ++i) fn(hosts[span.first + i]);
-}
-
 bool StudyAnalysis::figures_equal(const StudyAnalysis& other) const {
   return weeks == other.weeks && modes == other.modes && certificates == other.certificates &&
          reuse == other.reuse && shared_primes == other.shared_primes && auth == other.auth &&
@@ -886,28 +602,26 @@ bool StudyAnalysis::figures_equal(const StudyAnalysis& other) const {
          protocols == other.protocols;
 }
 
-StudyAnalysis analyze_source(const RecordSource& source, const AnalysisOptions& options) {
+StudyAnalysis analyze_reader(const SnapshotReader& reader, const AnalysisOptions& options) {
   const obs::WallTimer pass_timer(obs::Metric::analysis_pass_wall_us);
   StudyAnalysis analysis;
-  const std::size_t weeks = source.week_count();
-  for (std::size_t w = 0; w < weeks; ++w) analysis.weeks.push_back(source.week_meta(w));
+  analysis.weeks = reader.snapshots();
+  const std::size_t weeks = analysis.weeks.size();
   if (weeks == 0) return analysis;
 
   const std::size_t final_week = weeks - 1;
-  const std::size_t chunk_count = source.chunk_count();
+  const std::size_t chunk_count = reader.chunks().size();
+  const auto chunk_week = [&](std::size_t c) { return reader.chunks()[c].snapshot_ordinal; };
   std::vector<std::size_t> final_chunks;
   for (std::size_t c = 0; c < chunk_count; ++c) {
-    if (source.chunk_week(c) == final_week) final_chunks.push_back(c);
+    if (chunk_week(c) == final_week) final_chunks.push_back(c);
   }
 
   ThreadPool pool(options.threads);
 
-  // Columnar fast path: when the source is a little-endian v6 file, the
-  // passes below scan mmapped columns and share one per-dictionary-entry
-  // certificate cache instead of decoding full records chunk by chunk.
-  const SnapshotReader* col = source.columnar_reader();
-  std::optional<DictCertCache> dict_cache;
-  if (col != nullptr) dict_cache.emplace(*col, options.shared_primes, pool);
+  // The passes below scan the chunks' columns in place and share one
+  // per-dictionary-entry certificate cache.
+  const DictCertCache dict_cache(reader, options.shared_primes, pool);
 
   // ---- pass 1: certificate census of the final measurement --------------
   // Early prefix merge: completed chunk partials are folded into the
@@ -919,19 +633,12 @@ StudyAnalysis analyze_source(const RecordSource& source, const AnalysisOptions& 
   pool.parallel_for_merged(
       final_chunks.size(),
       [&](std::size_t i) {
-        if (col != nullptr) {
-          visit_columnar(*col, final_chunks[i], [&](const ColumnView& view) {
-            std::vector<std::uint32_t> ids;
-            for (std::size_t r = 0; r < view.records; ++r) {
-              census_partials[i].absorb_columnar(view, r, *dict_cache, ids,
-                                                 options.shared_primes);
-            }
-          });
-        } else {
-          source.visit_chunk(final_chunks[i], [&](const HostScanRecord& host) {
-            census_partials[i].absorb(host, options.shared_primes);
-          });
-        }
+        visit_columns(reader, final_chunks[i], [&](const ColumnView& view) {
+          std::vector<std::uint32_t> ids;
+          for (std::size_t r = 0; r < view.records; ++r) {
+            census_partials[i].absorb(view, r, dict_cache, ids, options.shared_primes);
+          }
+        });
       },
       [&](std::size_t i) {
         census.merge(std::move(census_partials[i]));
@@ -969,23 +676,17 @@ StudyAnalysis analyze_source(const RecordSource& source, const AnalysisOptions& 
   pool.parallel_for_merged(
       chunk_count,
       [&](std::size_t c) {
-        const bool is_final = source.chunk_week(c) == final_week;
-        if (col != nullptr) {
-          visit_columnar(*col, c, [&](const ColumnView& view) {
-            std::vector<std::uint32_t> ids;
-            for (std::size_t r = 0; r < view.records; ++r) {
-              partials[c].absorb_columnar(view, r, *dict_cache, ids, is_final, sets);
-            }
-          });
-        } else {
-          source.visit_chunk(c, [&](const HostScanRecord& host) {
-            partials[c].absorb(host, is_final, sets);
-          });
-        }
+        const bool is_final = chunk_week(c) == final_week;
+        visit_columns(reader, c, [&](const ColumnView& view) {
+          std::vector<std::uint32_t> ids;
+          for (std::size_t r = 0; r < view.records; ++r) {
+            partials[c].absorb(view, r, dict_cache, ids, is_final, sets);
+          }
+        });
       },
       [&](std::size_t c) {
         ChunkPartial& partial = partials[c];
-        const std::size_t week = source.chunk_week(c);
+        const std::size_t week = chunk_week(c);
         WeeklyObservation& obs = week_obs[week];
         obs.servers += partial.servers;
         obs.discovery += partial.discovery;
@@ -1153,10 +854,6 @@ StudyAnalysis analyze_source(const RecordSource& source, const AnalysisOptions& 
   return analysis;
 }
 
-StudyAnalysis analyze_reader(const SnapshotReader& reader, const AnalysisOptions& options) {
-  return analyze_source(ReaderRecordSource(reader), options);
-}
-
 StudyAnalysis analyze_file(const std::string& path, std::uint64_t seed,
                            const AnalysisOptions& options) {
   const SnapshotReader reader(path, seed);
@@ -1165,7 +862,8 @@ StudyAnalysis analyze_file(const std::string& path, std::uint64_t seed,
 
 StudyAnalysis analyze_snapshots(const std::vector<ScanSnapshot>& snapshots,
                                 const AnalysisOptions& options) {
-  return analyze_source(SnapshotVectorSource(snapshots, options.chunk_records), options);
+  const SnapshotReader reader(std::make_shared<const Bytes>(encode_snapshots(snapshots)), 0);
+  return analyze_reader(reader, options);
 }
 
 }  // namespace opcua_study

@@ -1,14 +1,16 @@
 // Shared analysis library — every figure/table of the paper computed in
-// one pass framework over a *stream* of host records.
+// one pass framework over a recorded campaign.
 //
 // The assess/ layer holds the reference per-snapshot implementations (one
 // function per figure, whole snapshot in RAM). This library computes the
-// same statistics — bit-identical, the tests assert it — from a chunked
-// record stream in bounded memory: chunk partials are aggregated by
-// thread-pool workers and merged in chunk-index order, so the result is
-// independent of thread count and scheduling. That is what lets one
-// Aggregator serve the 1k-host paper reproduction and a million-host
-// follow-up campaign alike (cf. Dahlmanns et al., PAM 2022).
+// same statistics — bit-identical, the tests assert it — from the chunked
+// columns of a SnapshotReader in bounded memory: chunk partials are
+// aggregated by thread-pool workers and merged in chunk-index order, so
+// the result is independent of thread count and scheduling. That is what
+// lets one Aggregator serve the 1k-host paper reproduction and a
+// million-host follow-up campaign alike (cf. Dahlmanns et al., PAM 2022).
+// The reader is the only input: a file, or an in-memory campaign encoded
+// into a v6 image (analyze_snapshots).
 //
 // Pass structure:
 //   pass 1  census of the final measurement's certificates (reuse
@@ -35,9 +37,6 @@ struct AnalysisOptions {
   /// Worker threads for the batch-GCD product/remainder trees (0 =
   /// hardware concurrency, matching the reference assess_shared_primes).
   int shared_prime_threads = 0;
-  /// Chunk size used when aggregating in-memory snapshots (streams from
-  /// a SnapshotReader use the chunking recorded in the file).
-  std::uint32_t chunk_records = SnapshotWriter::kDefaultChunkRecords;
 };
 
 /// Scan-quality tallies of one measurement: how completely the grabs ran
@@ -94,66 +93,10 @@ struct StudyAnalysis {
   bool figures_equal(const StudyAnalysis& other) const;
 };
 
-/// A source of record chunks the Aggregator can drain. Chunk index order
-/// defines the canonical record order (ascending week, then record order
-/// within the week); visit_chunk must be const-thread-safe.
-class RecordSource {
- public:
-  virtual ~RecordSource() = default;
-  virtual std::size_t week_count() const = 0;
-  virtual SnapshotMeta week_meta(std::size_t week) const = 0;
-  virtual std::size_t chunk_count() const = 0;
-  virtual std::size_t chunk_week(std::size_t chunk) const = 0;
-  virtual void visit_chunk(std::size_t chunk,
-                           const std::function<void(const HostScanRecord&)>& fn) const = 0;
-  /// Non-null when chunk indices can also be served as zero-copy v6
-  /// ColumnViews (reader.column_view(chunk)). Consumers that have a
-  /// columnar fast path use it; everyone else keeps calling visit_chunk.
-  virtual const SnapshotReader* columnar_reader() const { return nullptr; }
-};
-
-/// Adapters.
-class ReaderRecordSource final : public RecordSource {
- public:
-  explicit ReaderRecordSource(const SnapshotReader& reader) : reader_(reader) {}
-  std::size_t week_count() const override { return reader_.snapshots().size(); }
-  SnapshotMeta week_meta(std::size_t week) const override { return reader_.snapshots()[week]; }
-  std::size_t chunk_count() const override { return reader_.chunks().size(); }
-  std::size_t chunk_week(std::size_t chunk) const override {
-    return reader_.chunks()[chunk].snapshot_ordinal;
-  }
-  void visit_chunk(std::size_t chunk,
-                   const std::function<void(const HostScanRecord&)>& fn) const override;
-  const SnapshotReader* columnar_reader() const override {
-    return reader_.columnar() ? &reader_ : nullptr;
-  }
-
- private:
-  const SnapshotReader& reader_;
-};
-
-class SnapshotVectorSource final : public RecordSource {
- public:
-  SnapshotVectorSource(const std::vector<ScanSnapshot>& snapshots, std::uint32_t chunk_records);
-  std::size_t week_count() const override { return snapshots_.size(); }
-  SnapshotMeta week_meta(std::size_t week) const override;
-  std::size_t chunk_count() const override { return chunks_.size(); }
-  std::size_t chunk_week(std::size_t chunk) const override { return chunks_[chunk].week; }
-  void visit_chunk(std::size_t chunk,
-                   const std::function<void(const HostScanRecord&)>& fn) const override;
-
- private:
-  struct Span {
-    std::size_t week, first, count;
-  };
-  const std::vector<ScanSnapshot>& snapshots_;
-  std::vector<Span> chunks_;
-};
-
 /// Entry points. analyze_file/analyze_reader stream chunk-by-chunk and
 /// never materialize a full snapshot; analyze_snapshots serves callers
-/// that already hold the vector (and the equivalence tests).
-StudyAnalysis analyze_source(const RecordSource& source, const AnalysisOptions& options = {});
+/// that already hold the vector (and the equivalence tests) by encoding it
+/// once into an in-memory image and reading that.
 StudyAnalysis analyze_reader(const SnapshotReader& reader, const AnalysisOptions& options = {});
 StudyAnalysis analyze_file(const std::string& path, std::uint64_t seed,
                            const AnalysisOptions& options = {});

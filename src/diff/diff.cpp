@@ -52,14 +52,14 @@ bool CampaignDiff::counts_equal(const CampaignDiff& other) const {
   return strip(*this) == strip(other);
 }
 
-CampaignDiff diff_campaigns(const RecordSource& base, const RecordSource& followup,
+CampaignDiff diff_campaigns(const SnapshotReader& base, const SnapshotReader& followup,
                             const DiffOptions& options) {
   const obs::WallTimer pass_timer(obs::Metric::diff_pass_wall_us);
-  if (base.week_count() == 0 || followup.week_count() == 0) {
+  if (base.snapshots().empty() || followup.snapshots().empty()) {
     throw SnapshotError("campaign diff needs >= 1 measurement per campaign");
   }
-  const SnapshotMeta base_week = base.week_meta(base.week_count() - 1);
-  const SnapshotMeta followup_week = followup.week_meta(followup.week_count() - 1);
+  const SnapshotMeta base_week = base.snapshots().back();
+  const SnapshotMeta followup_week = followup.snapshots().back();
   if (options.validate_pairing) validate_campaign_chain({base_week, followup_week});
 
   ThreadPool pool(options.threads);
@@ -76,14 +76,16 @@ CampaignDiff diff_files(const std::string& base_path, std::uint64_t base_seed,
                         const DiffOptions& options) {
   const SnapshotReader base(base_path, base_seed);
   const SnapshotReader followup(followup_path, followup_seed);
-  return diff_campaigns(ReaderRecordSource(base), ReaderRecordSource(followup), options);
+  return diff_campaigns(base, followup, options);
 }
 
 CampaignDiff diff_snapshots(const std::vector<ScanSnapshot>& base,
                             const std::vector<ScanSnapshot>& followup,
                             const DiffOptions& options) {
-  return diff_campaigns(SnapshotVectorSource(base, options.chunk_records),
-                        SnapshotVectorSource(followup, options.chunk_records), options);
+  const SnapshotReader base_reader(std::make_shared<const Bytes>(encode_snapshots(base)), 0);
+  const SnapshotReader followup_reader(std::make_shared<const Bytes>(encode_snapshots(followup)),
+                                       0);
+  return diff_campaigns(base_reader, followup_reader, options);
 }
 
 void append_campaign_diff_fields(JsonWriter& json, const CampaignDiff& diff) {

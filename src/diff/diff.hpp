@@ -2,7 +2,7 @@
 // Opportunities" comparison as a subsystem.
 //
 // diff_campaigns() consumes the *final* measurement of two recorded
-// campaigns (base, follow-up) through the same RecordSource machinery the
+// campaigns (base, follow-up) through the same SnapshotReader the
 // Aggregator streams, and answers the longitudinal question the source
 // paper left open: did operators migrate, churn, or stay insecure?
 //
@@ -27,7 +27,9 @@
 // Memory is bounded by the posture summaries (tens of bytes per host —
 // fingerprints are truncated to 64 bits, never DER), not by the records:
 // two 1M-host campaigns diff comfortably where the load-all path holds
-// ~2 GB of decoded records (bench/campaign_diff.cpp pins both).
+// ~2 GB of decoded records (bench/campaign_diff.cpp pins both). In-memory
+// campaigns (diff_snapshots) are encoded once into v6 images and diffed
+// through the same readers.
 //
 // Since the series layer landed, the pairwise diff is the N=2
 // specialization of src/series/: collect_postures / match_postures /
@@ -47,8 +49,6 @@ struct DiffOptions {
   /// Enforce that the inputs form a (base, follow-up) pair when both
   /// declare a campaign identity (SnapshotMeta campaign label/epoch).
   bool validate_pairing = true;
-  /// Chunk size when diffing in-memory snapshot vectors.
-  std::uint32_t chunk_records = SnapshotWriter::kDefaultChunkRecords;
 };
 
 /// 3x3 posture transition counts over matched hosts: rows = base bucket,
@@ -151,7 +151,7 @@ struct CampaignDiff {
 /// Diff the final measurements of two campaigns. Throws SnapshotError when
 /// either campaign is empty, or (validate_pairing) when both inputs
 /// declare campaign identities that do not form a base -> follow-up pair.
-CampaignDiff diff_campaigns(const RecordSource& base, const RecordSource& followup,
+CampaignDiff diff_campaigns(const SnapshotReader& base, const SnapshotReader& followup,
                             const DiffOptions& options = {});
 
 /// Diff two recorded snapshot files, streaming both chunk by chunk.
@@ -159,7 +159,7 @@ CampaignDiff diff_files(const std::string& base_path, std::uint64_t base_seed,
                         const std::string& followup_path, std::uint64_t followup_seed,
                         const DiffOptions& options = {});
 
-/// Diff two in-memory campaigns (the load-all path).
+/// Diff two in-memory campaigns (each encoded once into a v6 image).
 CampaignDiff diff_snapshots(const std::vector<ScanSnapshot>& base,
                             const std::vector<ScanSnapshot>& followup,
                             const DiffOptions& options = {});

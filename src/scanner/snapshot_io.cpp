@@ -26,12 +26,17 @@
 
 namespace opcua_study {
 
+// Chunk columns are read in place (ColumnView reinterprets the mapped
+// bytes as typed spans), so host byte order must equal the on-disk
+// little-endian order. No supported build targets a big-endian host; a
+// port to one needs byte-swapping column views, not a second decoder.
+static_assert(std::endian::native == std::endian::little,
+              "snapshot columns are little-endian and read in place");
+
 namespace {
 
 constexpr std::uint32_t kMagic = 0x4f554153;       // "OUAS"
-constexpr std::uint32_t kVersionV4 = 4;
-constexpr std::uint32_t kVersionV5 = 5;
-constexpr std::uint32_t kVersionV6 = 6;
+constexpr std::uint32_t kVersion = 6;
 constexpr std::uint32_t kChunkMagic = 0x4b4e4843;  // "CHNK"
 constexpr std::uint32_t kFooterMagic = 0x544f4f46; // "FOOT"
 constexpr std::uint32_t kDictMagic = 0x43494443;   // "CDIC"
@@ -39,8 +44,7 @@ constexpr std::uint32_t kCampaignMagic = 0x504d4143;  // "CAMP"
 constexpr std::uint32_t kProtocolMagic = 0x544f5250;  // "PROT"
 constexpr std::uint32_t kEndMagic = 0x50414e53;    // "SNAP"
 constexpr std::size_t kHeaderBytes = 4 + 4 + 8;
-constexpr std::size_t kChunkHeaderBytes = 4 + 4 + 4 + 8;        // v5
-constexpr std::size_t kV6ChunkHeaderBytes = 4 + 4 + 4 + 4 + 8;  // v6, 8-aligned
+constexpr std::size_t kChunkHeaderBytes = 4 + 4 + 4 + 4 + 8;  // 8-aligned
 constexpr std::size_t kTrailerBytes = 8 + 4;
 // Sanity ceilings: a corrupt length field must fail fast, not drive a
 // multi-gigabyte reserve() or an hours-long decode loop.
@@ -63,22 +67,18 @@ std::string protocol_set_name(std::uint32_t mask) {
 }
 
 /// Error-message context naming what protocol family the failing data
-/// claims to hold: "protocols=opcua+mqtt-tls" for v6 (a v6 file without a
-/// protocol block is OPC-UA-only by construction), "pre-protocol v5/v4"
-/// for the row formats, which predate the protocol column entirely.
-std::string protocol_context(std::uint32_t version, std::uint32_t mask) {
-  if (version != kVersionV6) return "pre-protocol " + version_tag(version);
+/// claims to hold: "protocols=opcua+mqtt-tls" (a file without a protocol
+/// block is OPC-UA-only by construction).
+std::string protocol_context(std::uint32_t mask) {
   return "protocols=" + (mask == 0 ? std::string("opcua") : protocol_set_name(mask));
 }
 
-/// v6 chunk payloads are padded so every chunk header lands on an 8-byte
+/// Chunk payloads are padded so every chunk header lands on an 8-byte
 /// boundary (the header itself is 24 bytes, the file header 16): typed
 /// column spans over the mapping are always aligned.
-std::uint64_t v6_padding(std::uint64_t payload_bytes) { return (8 - payload_bytes % 8) % 8; }
+std::uint64_t chunk_padding(std::uint64_t payload_bytes) { return (8 - payload_bytes % 8) % 8; }
 
-// Portable little-endian loads for the v6 row decoder (works on any host
-// endianness; the zero-copy ColumnView tier is little-endian only and
-// gated by SnapshotReader::columnar()).
+// Unaligned little-endian loads for the record decoder.
 std::uint16_t le16(const std::uint8_t* p) {
   return static_cast<std::uint16_t>(p[0] | (p[1] << 8));
 }
@@ -98,79 +98,9 @@ double lef64(const std::uint8_t* p) {
   return v;
 }
 
-void write_host(UaWriter& w, const HostScanRecord& host) {
-  // The row formats predate fault injection and have no slot for the
-  // scan-quality fields; silently dropping them would make a v5 round
-  // trip lossy, so refuse instead (fault-free records always pass).
-  if (host.completeness != ProbeOutcome::complete || host.retries != 0 ||
-      host.fault_events != 0) {
-    throw SnapshotError(
-        "v5/v4 snapshot formats cannot encode scan-quality fields; "
-        "write fault-injected campaigns as v6");
-  }
-  // Same stance for the protocol column: pre-protocol formats would decode
-  // an MQTT broker as an OPC UA server, so refuse rather than lose the id.
-  if (host.protocol != ProtocolId::opcua) {
-    throw SnapshotError("v5/v4 snapshot formats cannot encode non-OPC-UA records (got " +
-                        protocol_name(host.protocol) + "); write mixed campaigns as v6");
-  }
-  w.u32(host.ip);
-  w.u16(host.port);
-  w.u32(host.asn);
-  w.boolean(host.tcp_open);
-  w.boolean(host.speaks_opcua);
-  w.boolean(host.found_via_reference);
-  w.string(host.application_uri);
-  w.string(host.product_uri);
-  w.string(host.application_name);
-  w.u32(static_cast<std::uint32_t>(host.application_type));
-  w.string(host.software_version);
-  w.u32(static_cast<std::uint32_t>(host.endpoints.size()));
-  for (const auto& ep : host.endpoints) {
-    w.string(ep.url);
-    w.u32(static_cast<std::uint32_t>(ep.mode));
-    w.string(ep.policy_uri);
-    w.u32(static_cast<std::uint32_t>(ep.token_types.size()));
-    for (const auto t : ep.token_types) w.u32(static_cast<std::uint32_t>(t));
-    w.byte_string(ep.certificate_der);
-  }
-  w.u32(static_cast<std::uint32_t>(host.referenced_targets.size()));
-  for (const auto& [ip, port] : host.referenced_targets) {
-    w.u32(ip);
-    w.u16(port);
-  }
-  w.u32(static_cast<std::uint32_t>(host.channel));
-  w.u32(static_cast<std::uint32_t>(host.channel_policy));
-  w.u32(static_cast<std::uint32_t>(host.channel_mode));
-  w.boolean(host.server_signature_valid);
-  w.boolean(host.anonymous_offered);
-  w.u32(static_cast<std::uint32_t>(host.session));
-  w.string_array(host.namespaces);
-  w.u32(static_cast<std::uint32_t>(host.nodes.size()));
-  for (const auto& node : host.nodes) {
-    w.string(node.browse_name);
-    w.u32(static_cast<std::uint32_t>(node.node_class));
-    w.boolean(node.readable);
-    w.boolean(node.writable);
-    w.boolean(node.executable);
-  }
-  w.boolean(host.traversal_truncated);
-  w.u64(host.bytes_sent);
-  w.f64(host.duration_seconds);
-}
-
 // Enum fields come off disk as raw integers; a flipped bit must surface as
 // a DecodeError, not as an out-of-range enum that downstream switch
 // statements silently misclassify.
-std::uint32_t checked_enum(UaReader& r, std::uint32_t max, const char* field) {
-  const std::uint32_t v = r.u32();
-  if (v > max) {
-    throw DecodeError(std::string("snapshot record: invalid ") + field + " value " +
-                      std::to_string(v));
-  }
-  return v;
-}
-
 std::uint32_t checked_enum8(std::uint8_t v, std::uint32_t max, const char* field) {
   if (v > max) {
     throw DecodeError(std::string("snapshot record: invalid ") + field + " value " +
@@ -190,78 +120,16 @@ NodeClass node_class_from_value(std::uint32_t v) {
   }
 }
 
-NodeClass checked_node_class(UaReader& r) { return node_class_from_value(r.u32()); }
-
-HostScanRecord read_host(UaReader& r) {
-  HostScanRecord host;
-  host.ip = r.u32();
-  host.port = r.u16();
-  host.asn = r.u32();
-  host.tcp_open = r.boolean();
-  host.speaks_opcua = r.boolean();
-  host.found_via_reference = r.boolean();
-  host.application_uri = r.string();
-  host.product_uri = r.string();
-  host.application_name = r.string();
-  host.application_type = static_cast<ApplicationType>(checked_enum(r, 3, "application type"));
-  host.software_version = r.string();
-  const std::uint32_t n_eps = r.u32();
-  for (std::uint32_t i = 0; i < n_eps; ++i) {
-    EndpointObservation ep;
-    ep.url = r.string();
-    ep.mode = static_cast<MessageSecurityMode>(checked_enum(r, 3, "security mode"));
-    ep.policy_uri = r.string();
-    if (const auto policy = policy_from_uri(ep.policy_uri)) {
-      ep.policy = *policy;
-      ep.policy_known = true;
-    }
-    const std::uint32_t n_tokens = r.u32();
-    for (std::uint32_t t = 0; t < n_tokens; ++t) {
-      ep.token_types.push_back(
-          static_cast<UserTokenType>(checked_enum(r, 3, "user token type")));
-    }
-    ep.certificate_der = r.byte_string();
-    host.endpoints.push_back(std::move(ep));
-  }
-  const std::uint32_t n_refs = r.u32();
-  for (std::uint32_t i = 0; i < n_refs; ++i) {
-    const Ipv4 ip = r.u32();
-    const std::uint16_t port = r.u16();
-    host.referenced_targets.emplace_back(ip, port);
-  }
-  host.channel = static_cast<ChannelOutcome>(checked_enum(r, 3, "channel outcome"));
-  host.channel_policy = static_cast<SecurityPolicy>(checked_enum(r, 5, "channel policy"));
-  host.channel_mode = static_cast<MessageSecurityMode>(checked_enum(r, 3, "channel mode"));
-  host.server_signature_valid = r.boolean();
-  host.anonymous_offered = r.boolean();
-  host.session = static_cast<SessionOutcome>(checked_enum(r, 3, "session outcome"));
-  host.namespaces = r.string_array();
-  const std::uint32_t n_nodes = r.u32();
-  for (std::uint32_t i = 0; i < n_nodes; ++i) {
-    NodeObservation node;
-    node.browse_name = r.string();
-    node.node_class = checked_node_class(r);
-    node.readable = r.boolean();
-    node.writable = r.boolean();
-    node.executable = r.boolean();
-    host.nodes.push_back(std::move(node));
-  }
-  host.traversal_truncated = r.boolean();
-  host.bytes_sent = r.u64();
-  host.duration_seconds = r.f64();
-  return host;
-}
-
 Bytes read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw SnapshotError("snapshot file not found: " + path);
   return Bytes((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
 }
 
-/// Column base pointers of one v6 chunk payload. Offsets follow the
+/// Column base pointers of one chunk payload. Offsets follow the
 /// format comment in snapshot_io.hpp: columns in decreasing alignment,
 /// fixed section 47n+4 bytes, var column behind it.
-struct V6Layout {
+struct ChunkLayout {
   std::size_t n = 0;
   std::uint64_t var_bytes = 0;
   const std::uint8_t* bytes_sent = nullptr;
@@ -283,10 +151,10 @@ struct V6Layout {
   const std::uint8_t* var = nullptr;
 };
 
-V6Layout v6_layout(const std::uint8_t* payload, std::uint64_t payload_bytes, std::uint32_t n) {
+ChunkLayout chunk_layout(const std::uint8_t* payload, std::uint64_t payload_bytes, std::uint32_t n) {
   const std::uint64_t fixed = 47ull * n + 4;
   if (payload_bytes < fixed) throw DecodeError("chunk payload shorter than its fixed columns");
-  V6Layout lay;
+  ChunkLayout lay;
   lay.n = n;
   lay.var_bytes = payload_bytes - fixed;
   if (lay.var_bytes > std::numeric_limits<std::uint32_t>::max()) {
@@ -313,7 +181,7 @@ V6Layout v6_layout(const std::uint8_t* payload, std::uint64_t payload_bytes, std
   return lay;
 }
 
-void validate_var_offsets(const V6Layout& lay) {
+void validate_var_offsets(const ChunkLayout& lay) {
   std::uint32_t prev = le32(lay.var_offsets);
   if (prev != 0) throw DecodeError("var offsets do not start at zero");
   for (std::size_t i = 1; i <= lay.n; ++i) {
@@ -332,11 +200,11 @@ std::uint32_t checked_cert_id(std::uint32_t id, std::size_t dict_size) {
   return id;
 }
 
-/// Decode record i of a v6 chunk back into a full HostScanRecord. The
+/// Decode record i of a chunk back into a full HostScanRecord. The
 /// derived columns (uri_hash, mode/policy/token masks) and the head cert
 /// id list are re-derived from the decoded fields and cross-checked, so
 /// corruption in either representation surfaces as a DecodeError.
-HostScanRecord read_host_v6(const SnapshotReader& reader, const V6Layout& lay, std::size_t i) {
+HostScanRecord read_host(const SnapshotReader& reader, const ChunkLayout& lay, std::size_t i) {
   HostScanRecord host;
   host.ip = le32(lay.ip + 4 * i);
   host.port = le16(lay.port + 2 * i);
@@ -613,7 +481,7 @@ void VarRecordCursor::visit_nodes(
 
 // ------------------------------------------------------------- writer ----
 
-/// v6 per-chunk column accumulators plus the growing var column. One set
+/// Per-chunk column accumulators plus the growing var column. One set
 /// per open chunk; cleared on flush. Dictionary state lives on the writer
 /// (file scope), not here.
 struct SnapshotWriter::ColumnBuffers {
@@ -648,16 +516,10 @@ struct SnapshotWriter::ColumnBuffers {
 };
 
 SnapshotWriter::SnapshotWriter(const std::string& path, std::uint64_t seed,
-                               std::uint32_t chunk_records, std::uint32_t format_version)
+                               std::uint32_t chunk_records)
     : path_(path),
-      seed_(seed),
       chunk_records_(std::max<std::uint32_t>(1, chunk_records)),
-      format_version_(format_version) {
-  if (format_version_ != kVersionV5 && format_version_ != kVersionV6) {
-    throw SnapshotError("unsupported snapshot write version " +
-                        std::to_string(format_version_) + ": " + path);
-  }
-  if (format_version_ == kVersionV6) cols_ = std::make_unique<ColumnBuffers>();
+      cols_(std::make_unique<ColumnBuffers>()) {
   // Write into a sibling temp file; finish() renames it over `path` so a
   // crash mid-campaign can never leave a half-written file at the final
   // name (same pattern as the key-cache flush).
@@ -665,12 +527,31 @@ SnapshotWriter::SnapshotWriter(const std::string& path, std::uint64_t seed,
   if (!out_) throw SnapshotError("cannot open snapshot file for writing: " + path + ".tmp");
   UaWriter header;
   header.u32(kMagic);
-  header.u32(format_version_);
+  header.u32(kVersion);
   header.u64(seed);
-  const Bytes& bytes = header.bytes();
-  out_.write(reinterpret_cast<const char*>(bytes.data()),
-             static_cast<std::streamsize>(bytes.size()));
-  file_pos_ = bytes.size();
+  emit(header.bytes());
+}
+
+SnapshotWriter::SnapshotWriter(std::uint64_t seed, std::uint32_t chunk_records)
+    : path_("<in-memory snapshot>"),
+      in_memory_(true),
+      chunk_records_(std::max<std::uint32_t>(1, chunk_records)),
+      cols_(std::make_unique<ColumnBuffers>()) {
+  UaWriter header;
+  header.u32(kMagic);
+  header.u32(kVersion);
+  header.u64(seed);
+  emit(header.bytes());
+}
+
+void SnapshotWriter::emit(const Bytes& bytes) {
+  if (in_memory_) {
+    image_.insert(image_.end(), bytes.begin(), bytes.end());
+  } else {
+    out_.write(reinterpret_cast<const char*>(bytes.data()),
+               static_cast<std::streamsize>(bytes.size()));
+  }
+  file_pos_ += bytes.size();
 }
 
 SnapshotWriter::~SnapshotWriter() {
@@ -715,7 +596,8 @@ std::uint32_t SnapshotWriter::intern_certificate(const Bytes& der) {
   return id;
 }
 
-void SnapshotWriter::add_host_v6(const HostScanRecord& host) {
+void SnapshotWriter::add_host(const HostScanRecord& host) {
+  if (!in_snapshot_) throw SnapshotError("add_host outside begin/end_snapshot: " + path_);
   ColumnBuffers& c = *cols_;
   c.ip.push_back(host.ip);
   c.port.push_back(host.port);
@@ -785,8 +667,8 @@ void SnapshotWriter::add_host_v6(const HostScanRecord& host) {
     const EndpointObservation& ep = host.endpoints[e];
     w.string(ep.url);
     w.byte(static_cast<std::uint8_t>(ep.mode));
-    // The policy code mirrors the read-side normalization: v5 readers
-    // re-derive (policy, policy_known) from the URI, so only the URI's
+    // The policy code mirrors the read-side normalization: the reader
+    // re-derives (policy, policy_known) from the URI, so only the URI's
     // identity is stored — canonically (one byte) when it names a table
     // policy, verbatim behind the 255 escape otherwise.
     if (const auto policy = policy_from_uri(ep.policy_uri)) {
@@ -831,18 +713,6 @@ void SnapshotWriter::add_host_v6(const HostScanRecord& host) {
     throw SnapshotError("chunk var column exceeds 4 GiB; lower chunk_records: " + path_);
   }
   c.var_ends.push_back(static_cast<std::uint32_t>(w.bytes().size()));
-}
-
-void SnapshotWriter::add_host(const HostScanRecord& host) {
-  if (!in_snapshot_) throw SnapshotError("add_host outside begin/end_snapshot: " + path_);
-  if (format_version_ == kVersionV6) {
-    add_host_v6(host);
-  } else {
-    UaWriter w;
-    write_host(w, host);
-    const Bytes& encoded = w.bytes();
-    chunk_buf_.insert(chunk_buf_.end(), encoded.begin(), encoded.end());
-  }
   snapshots_.back().protocol_mask |= 1u << static_cast<std::uint32_t>(host.protocol);
   ++buffered_records_;
   ++snapshots_.back().host_count;
@@ -874,7 +744,7 @@ void SnapshotWriter::flush_chunk() {
   info.file_offset = file_pos_;
 
   UaWriter w;
-  if (format_version_ == kVersionV6) {
+  {
     const ColumnBuffers& c = *cols_;
     const std::size_t n = buffered_records_;
     info.payload_bytes = 47ull * n + 4 + c.var.bytes().size();
@@ -901,22 +771,12 @@ void SnapshotWriter::flush_chunk() {
     w.base().raw(c.policy_mask);
     w.base().raw(c.token_mask);
     w.base().raw(c.var.bytes());
-    const std::uint64_t pad = v6_padding(info.payload_bytes);
+    const std::uint64_t pad = chunk_padding(info.payload_bytes);
     for (std::uint64_t p = 0; p < pad; ++p) w.byte(0);
     cols_->clear();
-  } else {
-    info.payload_bytes = chunk_buf_.size();
-    w.u32(kChunkMagic);
-    w.u32(info.snapshot_ordinal);
-    w.u32(info.record_count);
-    w.u64(info.payload_bytes);
-    w.base().raw(chunk_buf_);
-    chunk_buf_.clear();
   }
   const Bytes& bytes = w.bytes();
-  out_.write(reinterpret_cast<const char*>(bytes.data()),
-             static_cast<std::streamsize>(bytes.size()));
-  file_pos_ += bytes.size();
+  emit(bytes);
   chunks_.push_back(info);
   buffered_records_ = 0;
   if (obs_on) {
@@ -932,23 +792,16 @@ void SnapshotWriter::flush_chunk() {
 void SnapshotWriter::finish() {
   if (finished_) return;
   if (in_snapshot_) throw SnapshotError("finish with an open snapshot: " + path_);
-  std::uint64_t dict_offset = 0;
-  std::uint64_t dict_bytes = 0;
-  if (format_version_ == kVersionV6) {
-    dict_offset = file_pos_;
-    UaWriter d;
-    d.u32(kDictMagic);
-    d.u32(static_cast<std::uint32_t>(dict_ders_.size()));
-    for (std::size_t i = 0; i < dict_ders_.size(); ++i) {
-      d.u64(dict_fps_[i]);
-      d.byte_string(dict_ders_[i]);
-    }
-    const Bytes& db = d.bytes();
-    out_.write(reinterpret_cast<const char*>(db.data()),
-               static_cast<std::streamsize>(db.size()));
-    dict_bytes = db.size();
-    file_pos_ += dict_bytes;
+  const std::uint64_t dict_offset = file_pos_;
+  UaWriter d;
+  d.u32(kDictMagic);
+  d.u32(static_cast<std::uint32_t>(dict_ders_.size()));
+  for (std::size_t i = 0; i < dict_ders_.size(); ++i) {
+    d.u64(dict_fps_[i]);
+    d.byte_string(dict_ders_[i]);
   }
+  const std::uint64_t dict_bytes = d.bytes().size();
+  emit(d.bytes());
   const std::uint64_t footer_offset = file_pos_;
   UaWriter w;
   w.u32(kFooterMagic);
@@ -967,11 +820,9 @@ void SnapshotWriter::finish() {
     w.u64(chunk.file_offset);
     w.u64(chunk.payload_bytes);
   }
-  if (format_version_ == kVersionV6) {
-    w.u64(dict_offset);
-    w.u64(dict_bytes);
-    w.u32(static_cast<std::uint32_t>(dict_ders_.size()));
-  }
+  w.u64(dict_offset);
+  w.u64(dict_bytes);
+  w.u32(static_cast<std::uint32_t>(dict_ders_.size()));
   if (campaign_set_) {
     w.u32(kCampaignMagic);
     for (const auto& meta : snapshots_) {
@@ -979,22 +830,22 @@ void SnapshotWriter::finish() {
       w.i64(meta.campaign_epoch_days);
     }
   }
-  if (format_version_ == kVersionV6) {
-    // The protocol block exists only for mixed fleets: an OPC-UA-only
-    // campaign omits it (readers leave every mask 0 = undeclared) and the
-    // file stays byte-identical to pre-protocol output.
-    bool any_foreign = false;
-    for (const auto& meta : snapshots_) any_foreign |= (meta.protocol_mask & ~1u) != 0;
-    if (any_foreign) {
-      w.u32(kProtocolMagic);
-      for (const auto& meta : snapshots_) w.u32(meta.protocol_mask);
-    }
+  // The protocol block exists only for mixed fleets: an OPC-UA-only
+  // campaign omits it (readers leave every mask 0 = undeclared) and the
+  // file stays byte-identical to pre-protocol output.
+  bool any_foreign = false;
+  for (const auto& meta : snapshots_) any_foreign |= (meta.protocol_mask & ~1u) != 0;
+  if (any_foreign) {
+    w.u32(kProtocolMagic);
+    for (const auto& meta : snapshots_) w.u32(meta.protocol_mask);
   }
   w.u64(footer_offset);
   w.u32(kEndMagic);
-  const Bytes& bytes = w.bytes();
-  out_.write(reinterpret_cast<const char*>(bytes.data()),
-             static_cast<std::streamsize>(bytes.size()));
+  emit(w.bytes());
+  if (in_memory_) {
+    finished_ = true;
+    return;
+  }
   out_.close();
   if (!out_) throw SnapshotError("write failure while sealing snapshot file: " + path_ + ".tmp");
   const std::string tmp = path_ + ".tmp";
@@ -1005,214 +856,52 @@ void SnapshotWriter::finish() {
   finished_ = true;
 }
 
+Bytes SnapshotWriter::take_image() {
+  if (!in_memory_) throw SnapshotError("take_image on a file writer: " + path_);
+  if (!finished_) throw SnapshotError("take_image before finish(): " + path_);
+  return std::move(image_);
+}
+
 // ------------------------------------------------------------- reader ----
 
 SnapshotReader::SnapshotReader(const std::string& path, std::uint64_t seed) : path_(path) {
+  map_file();
+  open_image(seed);
+}
+
+SnapshotReader::SnapshotReader(std::shared_ptr<const Bytes> image, std::uint64_t seed)
+    : path_("<in-memory snapshot>") {
+  if (image == nullptr) throw SnapshotError("null snapshot image: " + path_);
+  data_ = image->data();
+  data_size_ = image->size();
+  storage_ = std::move(image);
+  open_image(seed);
+}
+
+SnapshotReader::~SnapshotReader() = default;
+
+void SnapshotReader::map_file() {
   std::uint64_t file_size = 0;
   {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) throw SnapshotError("snapshot file not found: " + path);
+    std::ifstream in(path_, std::ios::binary);
+    if (!in) throw SnapshotError("snapshot file not found: " + path_);
     in.seekg(0, std::ios::end);
     file_size = static_cast<std::uint64_t>(in.tellg());
-    if (file_size == 0) {
-      throw SnapshotError("snapshot file is empty (0 bytes): " + path);
-    }
-    if (file_size < kHeaderBytes) {
-      throw SnapshotError("snapshot file truncated: " + path + " holds only " +
-                          std::to_string(file_size) + " bytes, need at least " +
-                          std::to_string(kHeaderBytes) + " for the header");
-    }
-    Bytes header(kHeaderBytes);
-    in.seekg(0);
-    in.read(reinterpret_cast<char*>(header.data()),
-            static_cast<std::streamsize>(header.size()));
-    UaReader hr(header);
-    if (hr.u32() != kMagic) throw SnapshotError("not a snapshot file (bad magic): " + path);
-    version_ = hr.u32();
-    if (version_ != kVersionV4 && version_ != kVersionV5 && version_ != kVersionV6) {
-      throw SnapshotError("unsupported snapshot version " + std::to_string(version_) + ": " +
-                          path);
-    }
-    const std::uint64_t file_seed = hr.u64();
-    if (file_seed != seed) {
-      throw SnapshotError("snapshot seed mismatch at byte offset 8 (" + version_tag(version_) +
-                          " file seed " + std::to_string(file_seed) + ", expected " +
-                          std::to_string(seed) + "): " + path);
-    }
-
-    if (version_ == kVersionV5) {
-      // v5: trailer -> footer -> validated chunk index.
-      if (file_size < kHeaderBytes + kTrailerBytes) {
-        throw SnapshotError("snapshot file truncated before trailer (v5): " + path +
-                            " holds only " + std::to_string(file_size) + " bytes, need at least " +
-                            std::to_string(kHeaderBytes + kTrailerBytes));
-      }
-      Bytes trailer(kTrailerBytes);
-      in.seekg(static_cast<std::streamoff>(file_size - kTrailerBytes));
-      in.read(reinterpret_cast<char*>(trailer.data()),
-              static_cast<std::streamsize>(trailer.size()));
-      UaReader tr(trailer);
-      const std::uint64_t footer_offset = tr.u64();
-      if (tr.u32() != kEndMagic) {
-        throw SnapshotError(
-            "snapshot file truncated or unsealed (missing end marker at byte offset " +
-            std::to_string(file_size - 4) + ", v5): " + path);
-      }
-      if (footer_offset < kHeaderBytes || footer_offset > file_size - kTrailerBytes) {
-        throw SnapshotError("snapshot footer offset out of range (v5): " + path);
-      }
-      Bytes footer(static_cast<std::size_t>(file_size - kTrailerBytes - footer_offset));
-      in.seekg(static_cast<std::streamoff>(footer_offset));
-      in.read(reinterpret_cast<char*>(footer.data()),
-              static_cast<std::streamsize>(footer.size()));
-      if (!in) throw SnapshotError("read failure in snapshot footer: " + path);
-      try {
-        UaReader r(footer);
-        if (r.u32() != kFooterMagic) throw DecodeError("bad footer magic");
-        const std::uint32_t snapshot_count = r.u32();
-        if (snapshot_count > kMaxSnapshots) {
-          throw DecodeError("implausible snapshot count " + std::to_string(snapshot_count));
-        }
-        snapshots_.reserve(snapshot_count);
-        for (std::uint32_t i = 0; i < snapshot_count; ++i) {
-          SnapshotMeta meta;
-          meta.measurement_index = r.i32();
-          meta.date_days = r.i64();
-          meta.probes_sent = r.u64();
-          meta.tcp_open_count = r.u64();
-          meta.host_count = r.u64();
-          snapshots_.push_back(meta);
-        }
-        const std::uint32_t chunk_count = r.u32();
-        if (chunk_count > kMaxChunks) {
-          throw DecodeError("implausible chunk count " + std::to_string(chunk_count));
-        }
-        chunks_.reserve(chunk_count);
-        std::vector<std::uint64_t> records_seen(snapshot_count, 0);
-        std::uint64_t min_offset = kHeaderBytes;
-        for (std::uint32_t i = 0; i < chunk_count; ++i) {
-          SnapshotChunkInfo chunk;
-          chunk.snapshot_ordinal = r.u32();
-          chunk.record_count = r.u32();
-          chunk.file_offset = r.u64();
-          chunk.payload_bytes = r.u64();
-          if (chunk.snapshot_ordinal >= snapshot_count) {
-            throw DecodeError("chunk " + std::to_string(i) + " references snapshot " +
-                              std::to_string(chunk.snapshot_ordinal) + " of " +
-                              std::to_string(snapshot_count));
-          }
-          if (chunk.record_count == 0) {
-            throw DecodeError("chunk " + std::to_string(i) + " is empty");
-          }
-          // Chunks are written back to back in index order; each must lie
-          // fully inside the data region [header, footer).
-          if (chunk.file_offset < min_offset ||
-              chunk.payload_bytes > footer_offset - kChunkHeaderBytes ||
-              chunk.file_offset + kChunkHeaderBytes + chunk.payload_bytes > footer_offset) {
-            throw DecodeError("chunk " + std::to_string(i) + " extent out of range");
-          }
-          min_offset = chunk.file_offset + kChunkHeaderBytes + chunk.payload_bytes;
-          records_seen[chunk.snapshot_ordinal] += chunk.record_count;
-          if (!chunks_.empty() && chunk.snapshot_ordinal < chunks_.back().snapshot_ordinal) {
-            throw DecodeError("chunk index not ordered by snapshot");
-          }
-          chunks_.push_back(chunk);
-        }
-        if (!r.done()) {
-          // Optional campaign block: files written before labels existed
-          // (or without set_campaign) simply end after the chunk table.
-          if (r.u32() != kCampaignMagic) throw DecodeError("bad campaign block magic");
-          for (std::uint32_t i = 0; i < snapshot_count; ++i) {
-            snapshots_[i].campaign_label = r.string();
-            snapshots_[i].campaign_epoch_days = r.i64();
-          }
-        }
-        if (!r.done()) throw DecodeError("trailing bytes in footer");
-        for (std::uint32_t i = 0; i < snapshot_count; ++i) {
-          if (records_seen[i] != snapshots_[i].host_count) {
-            throw DecodeError("snapshot " + std::to_string(i) + " indexes " +
-                              std::to_string(records_seen[i]) + " records but declares " +
-                              std::to_string(snapshots_[i].host_count));
-          }
-        }
-      } catch (const DecodeError& e) {
-        throw SnapshotError("corrupt snapshot footer in " + path + " (v5, footer at byte " +
-                            std::to_string(footer_offset) + "): " + e.what());
-      }
-      return;
-    }
   }
-
-  if (version_ == kVersionV4) {
-    // v4: monolithic stream — decode once to synthesize the chunk index.
-    // Legacy files are the small pre-chunking caches, so keeping the raw
-    // bytes resident is acceptable; v5/v6 readers never decode-at-open.
-    heap_data_ = read_file(path);
-    data_ = heap_data_.data();
-    data_size_ = heap_data_.size();
-    UaReader r(heap_data_);
-    try {
-      r.u32();  // magic
-      r.u32();  // version
-      r.u64();  // seed
-      const std::uint32_t count = r.u32();
-      if (count > kMaxSnapshots) {
-        throw DecodeError("implausible snapshot count " + std::to_string(count));
-      }
-      for (std::uint32_t i = 0; i < count; ++i) {
-        SnapshotMeta meta;
-        meta.measurement_index = r.i32();
-        meta.date_days = r.i64();
-        meta.probes_sent = r.u64();
-        meta.tcp_open_count = r.u64();
-        const std::uint32_t n_hosts = r.u32();
-        meta.host_count = n_hosts;
-        std::uint32_t remaining_hosts = n_hosts;
-        while (remaining_hosts > 0) {
-          SnapshotChunkInfo chunk;
-          chunk.snapshot_ordinal = i;
-          chunk.record_count =
-              std::min<std::uint32_t>(remaining_hosts, SnapshotWriter::kDefaultChunkRecords);
-          chunk.file_offset = r.base().position();
-          for (std::uint32_t h = 0; h < chunk.record_count; ++h) read_host(r);
-          chunk.payload_bytes = r.base().position() - chunk.file_offset;
-          chunks_.push_back(chunk);
-          remaining_hosts -= chunk.record_count;
-        }
-        snapshots_.push_back(meta);
-      }
-      if (!r.done()) {
-        throw DecodeError(std::to_string(r.remaining()) + " trailing bytes after last snapshot");
-      }
-    } catch (const DecodeError& e) {
-      throw SnapshotError("corrupt v4 snapshot file " + path + " (at byte " +
-                          std::to_string(r.base().position()) + "): " + e.what());
-    }
-    return;
-  }
-
-  if (version_ == kVersionV6) open_v6(file_size);
-}
-
-SnapshotReader::~SnapshotReader() {
-#if OPCUA_STUDY_HAVE_MMAP
-  if (mmap_ptr_ != nullptr) ::munmap(mmap_ptr_, mmap_len_);
-#endif
-}
-
-void SnapshotReader::open_v6(std::uint64_t file_size) {
+  if (file_size == 0) throw SnapshotError("snapshot file is empty (0 bytes): " + path_);
 #if OPCUA_STUDY_HAVE_MMAP
   const int fd = ::open(path_.c_str(), O_RDONLY);
   if (fd >= 0) {
     struct stat st {};
     if (::fstat(fd, &st) == 0 && st.st_size > 0) {
-      void* p = ::mmap(nullptr, static_cast<std::size_t>(st.st_size), PROT_READ, MAP_PRIVATE,
-                       fd, 0);
+      const auto len = static_cast<std::size_t>(st.st_size);
+      void* p = ::mmap(nullptr, len, PROT_READ, MAP_PRIVATE, fd, 0);
       if (p != MAP_FAILED) {
-        mmap_ptr_ = p;
-        mmap_len_ = static_cast<std::size_t>(st.st_size);
+        storage_ = std::shared_ptr<const void>(p, [len](const void* q) {
+          ::munmap(const_cast<void*>(q), len);
+        });
         data_ = static_cast<const std::uint8_t*>(p);
-        data_size_ = mmap_len_;
+        data_size_ = len;
       }
     }
     ::close(fd);
@@ -1221,14 +910,41 @@ void SnapshotReader::open_v6(std::uint64_t file_size) {
   if (data_ == nullptr) {
     // Heap fallback (no mmap on this platform, or the map failed): one
     // resident copy, same lifetime and alignment guarantees.
-    heap_data_ = read_file(path_);
-    data_ = heap_data_.data();
-    data_size_ = heap_data_.size();
+    auto bytes = std::make_shared<const Bytes>(read_file(path_));
+    data_ = bytes->data();
+    data_size_ = bytes->size();
+    storage_ = std::move(bytes);
   }
   if (data_size_ != file_size) {
     throw SnapshotError("snapshot file changed size while opening: " + path_);
   }
+}
 
+void SnapshotReader::open_image(std::uint64_t seed) {
+  if (data_size_ == 0) throw SnapshotError("snapshot file is empty (0 bytes): " + path_);
+  if (data_size_ < kHeaderBytes) {
+    throw SnapshotError("snapshot file truncated: " + path_ + " holds only " +
+                        std::to_string(data_size_) + " bytes, need at least " +
+                        std::to_string(kHeaderBytes) + " for the header");
+  }
+  UaReader hr(std::span<const std::uint8_t>(data_, kHeaderBytes));
+  if (hr.u32() != kMagic) throw SnapshotError("not a snapshot file (bad magic): " + path_);
+  version_ = hr.u32();
+  if (version_ == 4 || version_ == 5) {
+    throw SnapshotError("retired snapshot format " + version_tag(version_) +
+                        " (row format, no longer readable; re-record the campaign as v" +
+                        std::to_string(kVersion) + "): " + path_);
+  }
+  if (version_ != kVersion) {
+    throw SnapshotError("unsupported snapshot version " + std::to_string(version_) + ": " +
+                        path_);
+  }
+  const std::uint64_t file_seed = hr.u64();
+  if (file_seed != seed) {
+    throw SnapshotError("snapshot seed mismatch at byte offset 8 (" + version_tag(version_) +
+                        " file seed " + std::to_string(file_seed) + ", expected " +
+                        std::to_string(seed) + "): " + path_);
+  }
   if (data_size_ < kHeaderBytes + kTrailerBytes) {
     throw SnapshotError("snapshot file truncated before trailer (v6): " + path_ +
                         " holds only " + std::to_string(data_size_) + " bytes, need at least " +
@@ -1308,14 +1024,14 @@ void SnapshotReader::open_v6(std::uint64_t file_size) {
         throw DecodeError("chunk " + std::to_string(i) + " misaligned");
       }
       if (chunk.file_offset < min_offset ||
-          chunk.payload_bytes > dict_offset - kV6ChunkHeaderBytes ||
-          chunk.file_offset + kV6ChunkHeaderBytes + chunk.payload_bytes +
-                  v6_padding(chunk.payload_bytes) >
+          chunk.payload_bytes > dict_offset - kChunkHeaderBytes ||
+          chunk.file_offset + kChunkHeaderBytes + chunk.payload_bytes +
+                  chunk_padding(chunk.payload_bytes) >
               dict_offset) {
         throw DecodeError("chunk " + std::to_string(i) + " extent out of range");
       }
-      min_offset = chunk.file_offset + kV6ChunkHeaderBytes + chunk.payload_bytes +
-                   v6_padding(chunk.payload_bytes);
+      min_offset = chunk.file_offset + kChunkHeaderBytes + chunk.payload_bytes +
+                   chunk_padding(chunk.payload_bytes);
     }
     // Optional blocks, each at most once, in write order: campaign
     // identity ('CAMP'), then per-snapshot protocol masks ('PROT').
@@ -1407,13 +1123,9 @@ void SnapshotReader::open_v6(std::uint64_t file_size) {
     std::uint32_t mask = 0;
     for (const auto& meta : snapshots_) mask |= meta.protocol_mask;
     throw SnapshotError("corrupt certificate dictionary in " + path_ + " (v6, " +
-                        protocol_context(version_, mask) + ", dictionary at byte " +
+                        protocol_context(mask) + ", dictionary at byte " +
                         std::to_string(dict_offset) + "): " + e.what());
   }
-}
-
-bool SnapshotReader::columnar() const {
-  return version_ == kVersionV6 && std::endian::native == std::endian::little;
 }
 
 std::span<const std::uint8_t> SnapshotReader::cert_der(std::uint32_t cert_id) const {
@@ -1486,57 +1198,29 @@ void SnapshotReader::read_chunk(std::size_t chunk_index,
                                             .count()));
   };
   try {
-    if (version_ == kVersionV4) {
-      UaReader r(std::span<const std::uint8_t>(data_ + info.file_offset, info.payload_bytes));
-      for (std::uint32_t i = 0; i < info.record_count; ++i) out.push_back(read_host(r));
-      note_read();
-      return;
-    }
-    if (version_ == kVersionV6) {
-      const std::uint8_t* base = data_ + info.file_offset;
-      UaReader h(std::span<const std::uint8_t>(base, kV6ChunkHeaderBytes));
-      if (h.u32() != kChunkMagic || h.u32() != info.snapshot_ordinal ||
-          h.u32() != info.record_count || h.u32() != 0 || h.u64() != info.payload_bytes) {
-        throw DecodeError("chunk header disagrees with footer index");
-      }
-      const V6Layout lay =
-          v6_layout(base + kV6ChunkHeaderBytes, info.payload_bytes, info.record_count);
-      validate_var_offsets(lay);
-      for (std::uint32_t i = 0; i < info.record_count; ++i) {
-        out.push_back(read_host_v6(*this, lay, i));
-      }
-      note_read();
-      return;
-    }
-    // v5: each call opens its own stream so thread-pool workers can decode
-    // disjoint chunks concurrently without sharing a file cursor.
-    std::ifstream in(path_, std::ios::binary);
-    if (!in) throw SnapshotError("snapshot file vanished: " + path_);
-    in.seekg(static_cast<std::streamoff>(info.file_offset));
-    Bytes data(kChunkHeaderBytes + info.payload_bytes);
-    in.read(reinterpret_cast<char*>(data.data()), static_cast<std::streamsize>(data.size()));
-    if (!in) throw SnapshotError("read failure in chunk of " + path_);
-    UaReader r(data);
-    if (r.u32() != kChunkMagic || r.u32() != info.snapshot_ordinal ||
-        r.u32() != info.record_count || r.u64() != info.payload_bytes) {
+    const std::uint8_t* base = data_ + info.file_offset;
+    UaReader h(std::span<const std::uint8_t>(base, kChunkHeaderBytes));
+    if (h.u32() != kChunkMagic || h.u32() != info.snapshot_ordinal ||
+        h.u32() != info.record_count || h.u32() != 0 || h.u64() != info.payload_bytes) {
       throw DecodeError("chunk header disagrees with footer index");
     }
-    for (std::uint32_t i = 0; i < info.record_count; ++i) out.push_back(read_host(r));
-    if (!r.done()) throw DecodeError("chunk payload longer than its records");
+    const ChunkLayout lay =
+        chunk_layout(base + kChunkHeaderBytes, info.payload_bytes, info.record_count);
+    validate_var_offsets(lay);
+    for (std::uint32_t i = 0; i < info.record_count; ++i) {
+      out.push_back(read_host(*this, lay, i));
+    }
     note_read();
   } catch (const DecodeError& e) {
     throw SnapshotError(
         "corrupt chunk " + std::to_string(chunk_index) + " in " + path_ + " (" +
         version_tag(version_) + ", " +
-        protocol_context(version_, snapshots_[info.snapshot_ordinal].protocol_mask) +
+        protocol_context(snapshots_[info.snapshot_ordinal].protocol_mask) +
         ", chunk at byte " + std::to_string(info.file_offset) + "): " + e.what());
   }
 }
 
 ColumnView SnapshotReader::column_view(std::size_t chunk_index) const {
-  if (!columnar()) {
-    throw SnapshotError("column_view requires a v6 snapshot on a little-endian host: " + path_);
-  }
   if (chunk_index >= chunks_.size()) {
     throw SnapshotError("chunk index " + std::to_string(chunk_index) + " out of range in " +
                         path_);
@@ -1544,13 +1228,13 @@ ColumnView SnapshotReader::column_view(std::size_t chunk_index) const {
   const SnapshotChunkInfo& info = chunks_[chunk_index];
   try {
     const std::uint8_t* base = data_ + info.file_offset;
-    UaReader h(std::span<const std::uint8_t>(base, kV6ChunkHeaderBytes));
+    UaReader h(std::span<const std::uint8_t>(base, kChunkHeaderBytes));
     if (h.u32() != kChunkMagic || h.u32() != info.snapshot_ordinal ||
         h.u32() != info.record_count || h.u32() != 0 || h.u64() != info.payload_bytes) {
       throw DecodeError("chunk header disagrees with footer index");
     }
-    const V6Layout lay =
-        v6_layout(base + kV6ChunkHeaderBytes, info.payload_bytes, info.record_count);
+    const ChunkLayout lay =
+        chunk_layout(base + kChunkHeaderBytes, info.payload_bytes, info.record_count);
     validate_var_offsets(lay);
     ColumnView view;
     view.snapshot_ordinal = info.snapshot_ordinal;
@@ -1580,7 +1264,7 @@ ColumnView SnapshotReader::column_view(std::size_t chunk_index) const {
   } catch (const DecodeError& e) {
     throw SnapshotError(
         "corrupt chunk " + std::to_string(chunk_index) + " in " + path_ + " (v6, " +
-        protocol_context(version_, snapshots_[info.snapshot_ordinal].protocol_mask) +
+        protocol_context(snapshots_[info.snapshot_ordinal].protocol_mask) +
         ", chunk at byte " + std::to_string(info.file_offset) + "): " + e.what());
   }
 }
@@ -1624,6 +1308,14 @@ void save_snapshots(const std::string& path, std::uint64_t seed,
   writer.finish();
 }
 
+Bytes encode_snapshots(const std::vector<ScanSnapshot>& snapshots, std::uint64_t seed,
+                       std::uint32_t chunk_records) {
+  SnapshotWriter writer(seed, chunk_records);
+  for (const auto& snapshot : snapshots) writer.add_snapshot(snapshot);
+  writer.finish();
+  return writer.take_image();
+}
+
 std::optional<std::vector<ScanSnapshot>> load_snapshots(const std::string& path,
                                                         std::uint64_t seed,
                                                         std::string* error) {
@@ -1633,37 +1325,6 @@ std::optional<std::vector<ScanSnapshot>> load_snapshots(const std::string& path,
   } catch (const SnapshotError& e) {
     if (error) *error = e.what();
     return std::nullopt;
-  }
-}
-
-void save_snapshots_v4(const std::string& path, std::uint64_t seed,
-                       const std::vector<ScanSnapshot>& snapshots) {
-  UaWriter w;
-  w.u32(kMagic);
-  w.u32(kVersionV4);
-  w.u64(seed);
-  w.u32(static_cast<std::uint32_t>(snapshots.size()));
-  for (const auto& snapshot : snapshots) {
-    w.i32(snapshot.measurement_index);
-    w.i64(snapshot.date_days);
-    w.u64(snapshot.probes_sent);
-    w.u64(snapshot.tcp_open_count);
-    w.u32(static_cast<std::uint32_t>(snapshot.hosts.size()));
-    for (const auto& host : snapshot.hosts) write_host(w, host);
-  }
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) throw SnapshotError("cannot open snapshot file for writing: " + tmp);
-    const Bytes& data = w.bytes();
-    out.write(reinterpret_cast<const char*>(data.data()),
-              static_cast<std::streamsize>(data.size()));
-    out.close();
-    if (!out) throw SnapshotError("write failure while writing snapshot file: " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    throw SnapshotError("cannot move snapshot file into place: " + tmp + " -> " + path);
   }
 }
 

@@ -5,12 +5,13 @@
 // (exactly like the paper's analyses ran on the recorded dataset rather
 // than re-scanning per figure).
 //
-// Three format generations load through SnapshotReader:
-//   v4 — retired monolithic row stream (whole-file decode, chunk index
-//        synthesized on open);
-//   v5 — chunked row stream: records in the v4 encoding, grouped into
-//        fixed-size chunks, indexed by a footer;
-//   v6 — the current *columnar* layout, written by default.
+// There is one format, v6, and one reader: SnapshotReader opens either a
+// file (memory-mapped) or an in-memory image that SnapshotWriter sealed
+// into a byte buffer, through the same validation. In-memory campaigns
+// (std::vector<ScanSnapshot>) are encoded into such an image before any
+// analysis, diff or series pass reads them, so every pass has exactly one
+// input path. The retired row formats v4 and v5 are rejected on open with
+// an error naming the version and the path.
 //
 // Format v6 splits each chunk into fixed-width per-field columns plus one
 // variable-length column, and hoists all certificate DER into a single
@@ -78,7 +79,22 @@
 // The campaign block makes diff inputs self-describing (src/diff/ checks
 // that a follow-up campaign really is later than its base). Files written
 // without SnapshotWriter::set_campaign omit the block; readers default
-// absent labels to ""/0, and the v4/v5 load paths are unaffected.
+// absent labels to ""/0.
+//
+// Chunks are the unit of streaming and of parallel work: chunk index
+// order is the canonical record order (ascending measurement, then record
+// order within it), a chunk never straddles two measurements, and
+// record_count may be anything from 1 to the writer's chunk size. The
+// reader validates the whole index up front (offsets inside the file,
+// 8-byte alignment, record counts summing to each measurement's
+// host_count) and the dictionary (every fingerprint recomputed), and
+// read_chunk/column_view re-check each chunk header against the index, so
+// truncation, a flipped bit or an out-of-range enum fails with a
+// SnapshotError naming the file, format and byte offset — never garbage.
+//
+// The format is little-endian on disk and columns are read in place, so
+// the library requires a little-endian host (static_assert in
+// snapshot_io.cpp).
 #pragma once
 
 #include <cstdint>
@@ -114,13 +130,12 @@ struct SnapshotMeta {
   std::uint64_t tcp_open_count = 0;
   std::uint64_t host_count = 0;
   /// Which recorded campaign this measurement belongs to. Empty label /
-  /// zero epoch = undeclared (v4 files and v5 files predating the label).
+  /// zero epoch = undeclared (written without SnapshotWriter::set_campaign).
   std::string campaign_label;
   std::int64_t campaign_epoch_days = 0;
   /// Bit p set = protocol id p appears in this measurement. 0 =
-  /// undeclared: v4/v5 files, and v6 files whose every record is OPC UA
-  /// (the writer omits the block so such files stay byte-identical to
-  /// pre-protocol output).
+  /// undeclared: files whose every record is OPC UA (the writer omits the
+  /// block so such files stay byte-identical to pre-protocol output).
   std::uint32_t protocol_mask = 0;
 
   friend bool operator==(const SnapshotMeta&, const SnapshotMeta&) = default;
@@ -164,9 +179,8 @@ inline constexpr std::uint32_t kNoCertId = 0xffffffffu;
 /// reader's memory mapping: a ColumnView (and every UaReader handed out by
 /// var_record) must not outlive the SnapshotReader it came from, and the
 /// underlying bytes are immutable for the reader's whole lifetime, so
-/// concurrent readers never race. Only available on little-endian hosts
-/// (SnapshotReader::columnar() gates it); portable row decoding goes
-/// through read_chunk.
+/// concurrent readers never race. Full records decode through
+/// read_chunk.
 struct ColumnView {
   std::uint32_t snapshot_ordinal = 0;
   std::size_t records = 0;
@@ -232,19 +246,22 @@ class VarRecordCursor {
 /// add_host()* / end_snapshot(); finish() seals the file with the footer.
 /// A writer destroyed without finish() leaves the file unsealed, and
 /// readers reject it — a half-written campaign never masquerades as a
-/// complete dataset. Buffers at most one chunk of records (plus, for v6,
-/// the certificate dictionary — one copy of each distinct DER).
+/// complete dataset. Buffers at most one chunk of records plus the
+/// certificate dictionary (one copy of each distinct DER).
+///
+/// An in-memory writer produces the same bytes into a buffer instead of a
+/// file; take_image() hands the sealed image to a SnapshotReader.
 class SnapshotWriter {
  public:
   static constexpr std::uint32_t kDefaultChunkRecords = 4096;
-  static constexpr std::uint32_t kCurrentVersion = 6;
 
-  /// `format_version` is 6 (the default, columnar) or 5 (the row format,
-  /// kept writable for back-compat coverage and format-comparison
-  /// benches).
+  /// File writer: streams into `path`.tmp, renamed over `path` by finish().
+  /// `chunk_records` is the largest chunk; it is recorded in the file.
   SnapshotWriter(const std::string& path, std::uint64_t seed,
-                 std::uint32_t chunk_records = kDefaultChunkRecords,
-                 std::uint32_t format_version = kCurrentVersion);
+                 std::uint32_t chunk_records = kDefaultChunkRecords);
+  /// In-memory writer: byte-identical output, sealed into a buffer.
+  explicit SnapshotWriter(std::uint64_t seed,
+                          std::uint32_t chunk_records = kDefaultChunkRecords);
   ~SnapshotWriter();
 
   SnapshotWriter(const SnapshotWriter&) = delete;
@@ -266,25 +283,29 @@ class SnapshotWriter {
   /// for the file to be loadable.
   void finish();
 
+  /// The sealed image of an in-memory writer (after finish(); the writer
+  /// keeps nothing). Throws SnapshotError on a file writer or before
+  /// finish().
+  Bytes take_image();
+
  private:
+  void emit(const Bytes& bytes);
   void flush_chunk();
-  void add_host_v6(const HostScanRecord& host);
   std::uint32_t intern_certificate(const Bytes& der);
 
-  std::string path_;
-  std::uint64_t seed_;
+  std::string path_;  // file writers; in-memory writers name themselves here
+  bool in_memory_ = false;
+  Bytes image_;       // in-memory writers: everything emitted so far
   std::uint32_t chunk_records_;
-  std::uint32_t format_version_;
   std::string campaign_label_;
   std::int64_t campaign_epoch_days_ = 0;
   bool campaign_set_ = false;
   std::vector<SnapshotMeta> snapshots_;
   std::vector<SnapshotChunkInfo> chunks_;
-  Bytes chunk_buf_;  // v5: row-encoded records of the open chunk
-  // v6 column buffers for the open chunk.
+  // Column buffers for the open chunk.
   struct ColumnBuffers;
   std::unique_ptr<ColumnBuffers> cols_;
-  // v6 certificate dictionary: id order == first appearance order.
+  // Certificate dictionary: id order == first appearance order.
   std::vector<Bytes> dict_ders_;
   std::vector<std::uint64_t> dict_fps_;
   std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> dict_index_;  // fp64 -> ids
@@ -295,18 +316,22 @@ class SnapshotWriter {
   bool finished_ = false;
 };
 
-/// Random-access chunk reader. Opening validates the header, seed, the
-/// complete chunk index (offsets inside the file, record counts consistent
-/// with the per-snapshot host counts) and — for v6 — the certificate
-/// dictionary (every stored fingerprint is recomputed from its DER), and
-/// throws SnapshotError on any mismatch. v6 files are memory-mapped for
-/// the reader's lifetime (falling back to a heap copy where mmap is
-/// unavailable); v5 files are streamed per chunk. read_chunk() and
-/// column_view() are const and thread-safe: workers may decode disjoint
-/// chunks concurrently.
+/// Random-access chunk reader — the one input every read-side pass
+/// consumes. Opening validates the header, seed, the complete chunk index
+/// (offsets inside the image, record counts consistent with the
+/// per-snapshot host counts) and the certificate dictionary (every stored
+/// fingerprint is recomputed from its DER), and throws SnapshotError on
+/// any mismatch. Files are memory-mapped for the reader's lifetime
+/// (falling back to a heap copy where mmap is unavailable); in-memory
+/// images are shared, not copied. read_chunk() and column_view() are
+/// const and thread-safe: workers may decode disjoint chunks concurrently.
 class SnapshotReader {
  public:
   SnapshotReader(const std::string& path, std::uint64_t seed);
+  /// Open an in-memory image (SnapshotWriter::take_image, encode_snapshots)
+  /// through the same validation as a file. Error messages name it
+  /// "<in-memory snapshot>".
+  SnapshotReader(std::shared_ptr<const Bytes> image, std::uint64_t seed);
   ~SnapshotReader();
 
   SnapshotReader(const SnapshotReader&) = delete;
@@ -343,17 +368,13 @@ class SnapshotReader {
   /// Materialize everything (the legacy load-all path).
   std::vector<ScanSnapshot> load_all() const;
 
-  /// True when column_view() is available: a v6 file on a little-endian
-  /// host. Consumers fall back to read_chunk() row decoding otherwise.
-  bool columnar() const;
-
-  /// Zero-copy column access to one v6 chunk. The returned spans alias
-  /// the reader's mapping and must not outlive it. Throws SnapshotError
-  /// when !columnar() or on a malformed chunk (bad header, short columns,
-  /// non-monotone var offsets).
+  /// Zero-copy column access to one chunk. The returned spans alias the
+  /// reader's bytes and must not outlive it. Throws SnapshotError on a
+  /// malformed chunk (bad header, short columns, non-monotone var
+  /// offsets).
   ColumnView column_view(std::size_t chunk_index) const;
 
-  /// v6 certificate dictionary: deduplicated DER in id order.
+  /// Certificate dictionary: deduplicated DER in id order.
   /// kDictBlock consecutive entries are one unit of parallel work for the
   /// per-entry dictionary passes: open-time fingerprint verification and
   /// the analysis and posture certificate caches.
@@ -363,7 +384,8 @@ class SnapshotReader {
   std::uint64_t cert_fp64(std::uint32_t cert_id) const { return dict_.at(cert_id).fp64; }
 
  private:
-  void open_v6(std::uint64_t file_size);
+  void map_file();
+  void open_image(std::uint64_t seed);
   struct DictEntry {
     std::uint64_t fp64 = 0;
     std::uint64_t offset = 0;  // of the DER bytes inside the file
@@ -374,21 +396,24 @@ class SnapshotReader {
   std::uint32_t version_ = 0;
   std::vector<SnapshotMeta> snapshots_;
   std::vector<SnapshotChunkInfo> chunks_;
-  std::vector<DictEntry> dict_;  // v6 only
-  // v4: whole file on the heap. v6: memory mapping (or heap fallback).
-  // v5 retains nothing; chunks are read on demand.
+  std::vector<DictEntry> dict_;
+  // The validated bytes, owned by storage_: the file mapping, a heap copy
+  // of the file, or a shared in-memory image.
+  std::shared_ptr<const void> storage_;
   const std::uint8_t* data_ = nullptr;
   std::size_t data_size_ = 0;
-  Bytes heap_data_;
-  void* mmap_ptr_ = nullptr;
-  std::size_t mmap_len_ = 0;
 };
 
-/// Streams `snapshots` into a snapshot file (current format, v6) via
-/// SnapshotWriter. Output is byte-deterministic: same records + seed give
-/// identical bytes on every run.
+/// Streams `snapshots` into a snapshot file via SnapshotWriter. Output is
+/// byte-deterministic: same records + seed give identical bytes on every
+/// run.
 void save_snapshots(const std::string& path, std::uint64_t seed,
                     const std::vector<ScanSnapshot>& snapshots);
+
+/// The bytes save_snapshots would write, as an in-memory image — how the
+/// read side consumes in-memory campaigns. Seed 0 unless given.
+Bytes encode_snapshots(const std::vector<ScanSnapshot>& snapshots, std::uint64_t seed = 0,
+                       std::uint32_t chunk_records = SnapshotWriter::kDefaultChunkRecords);
 
 /// Returns nullopt when the file is missing, corrupt, or was produced with
 /// a different seed/format version; `error` (when given) receives a
@@ -398,14 +423,8 @@ std::optional<std::vector<ScanSnapshot>> load_snapshots(const std::string& path,
                                                         std::uint64_t seed,
                                                         std::string* error = nullptr);
 
-/// Writes the retired monolithic v4 layout. Kept so the v4 back-compat
-/// tests can fabricate historical files; production code writes v6.
-void save_snapshots_v4(const std::string& path, std::uint64_t seed,
-                       const std::vector<ScanSnapshot>& snapshots);
-
 /// True when the measurement declares a campaign identity (label or epoch
-/// set); v4 files and unlabeled v5 files don't, and are exempt from chain
-/// validation.
+/// set); unlabeled campaigns don't, and are exempt from chain validation.
 bool campaign_declared(const SnapshotMeta& meta);
 
 /// Validates that `members` (the final measurement of each campaign in an

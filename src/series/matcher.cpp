@@ -8,48 +8,9 @@
 
 #include <unordered_map>
 
-#include "util/rng.hpp"
-
 namespace opcua_study {
 
 namespace {
-
-HostPosture absorb(const HostScanRecord& host) {
-  HostPosture p;
-  p.ip = host.ip;
-  p.port = host.port;
-  p.protocol = host.protocol;
-  p.asn = host.asn;
-  p.uri_hash = host.application_uri.empty() ? 0 : hash64(host.application_uri);
-
-  MessageSecurityMode strongest_mode = MessageSecurityMode::Invalid;
-  for (const auto mode : host.advertised_modes()) {
-    if (security_mode_rank(mode) > security_mode_rank(strongest_mode)) strongest_mode = mode;
-  }
-  switch (strongest_mode) {
-    case MessageSecurityMode::Sign: p.mode_bucket = 1; break;
-    case MessageSecurityMode::SignAndEncrypt: p.mode_bucket = 2; break;
-    default: p.mode_bucket = 0; break;  // None or no endpoints
-  }
-
-  const SecurityPolicy max = strongest_policy(host);
-  const auto& info = policy_info(max);
-  p.policy_bucket = info.secure ? 2 : info.deprecated ? 1 : 0;
-  for (const auto policy : host.advertised_policies()) {
-    p.supports_deprecated |= policy_info(policy).deprecated;
-  }
-  p.anonymous = host.anonymous_offered;
-  // The paper's §5.2 deficiency definition — the assess/ reference helper,
-  // so the diff can never drift from the per-campaign analyses.
-  p.deficient = is_deficient(host);
-
-  p.fps = host.distinct_cert_fingerprints();
-  std::sort(p.fps.begin(), p.fps.end());
-  p.fps.erase(std::unique(p.fps.begin(), p.fps.end()), p.fps.end());
-  return p;
-}
-
-// ------------------------------------------- v6 columnar fast path ----
 
 /// Per-dictionary-entry facts the posture absorb needs — computed once per
 /// distinct certificate in the file instead of once per host occurrence.
@@ -83,14 +44,15 @@ std::vector<DictPostureEntry> build_posture_dict(const SnapshotReader& reader,
   return dict;
 }
 
-/// Columnar mirror of absorb(): every posture field is either a fixed
-/// column, a mask derivation (policy table rank order equals enum order,
-/// so the highest set bit is the strongest policy), or a dictionary
-/// lookup keyed by the record's cert id head list. The var record is only
-/// touched for that head list — strings, endpoints and nodes stay encoded.
-HostPosture absorb_columnar(const ColumnView& view, std::size_t i,
-                            const std::vector<DictPostureEntry>& dict,
-                            std::vector<std::uint32_t>& ids) {
+/// One host's posture. Every field is either a fixed column, a mask
+/// derivation (policy table rank order equals enum order, so the highest
+/// set bit is the strongest policy), or a dictionary lookup keyed by the
+/// record's cert id head list. The var record is only touched for that
+/// head list — strings, endpoints and nodes stay encoded. `deficient` is
+/// the paper's §5.2 definition, the same one assess/'s is_deficient
+/// applies to a full record (the tests pin the two against each other).
+HostPosture absorb(const ColumnView& view, std::size_t i,
+                   const std::vector<DictPostureEntry>& dict, std::vector<std::uint32_t>& ids) {
   HostPosture p;
   p.ip = view.ip[i];
   p.port = view.port[i];
@@ -192,41 +154,34 @@ double mean_match_confidence(std::uint64_t by_address, std::uint64_t by_cert_cor
   return weighted / static_cast<double>(links);
 }
 
-std::vector<HostPosture> collect_postures(const RecordSource& source, ThreadPool& pool) {
-  const std::size_t final_week = source.week_count() - 1;
+std::vector<HostPosture> collect_postures(const SnapshotReader& reader, ThreadPool& pool) {
+  const std::size_t final_week = reader.snapshots().size() - 1;
   std::vector<std::size_t> final_chunks;
-  for (std::size_t c = 0; c < source.chunk_count(); ++c) {
-    if (source.chunk_week(c) == final_week) final_chunks.push_back(c);
+  for (std::size_t c = 0; c < reader.chunks().size(); ++c) {
+    if (reader.chunks()[c].snapshot_ordinal == final_week) final_chunks.push_back(c);
   }
   std::vector<std::vector<HostPosture>> partials(final_chunks.size());
   std::vector<HostPosture> postures;
-  postures.reserve(source.week_meta(final_week).host_count);
-  const SnapshotReader* col = source.columnar_reader();
-  std::vector<DictPostureEntry> dict;
-  if (col != nullptr) dict = build_posture_dict(*col, pool);
+  postures.reserve(reader.snapshots()[final_week].host_count);
+  const std::vector<DictPostureEntry> dict = build_posture_dict(reader, pool);
   // Early prefix merge: completed chunk partials are appended (in chunk
   // order) and freed while later chunks are still being absorbed.
   pool.parallel_for_merged(
       final_chunks.size(),
       [&](std::size_t i) {
-        if (col != nullptr) {
-          const std::size_t chunk = final_chunks[i];
-          const ColumnView view = col->column_view(chunk);
-          try {
-            std::vector<std::uint32_t> ids;
-            partials[i].reserve(view.records);
-            for (std::size_t r = 0; r < view.records; ++r) {
-              partials[i].push_back(absorb_columnar(view, r, dict, ids));
-            }
-          } catch (const DecodeError& e) {
-            throw SnapshotError("corrupt chunk " + std::to_string(chunk) + " (v6, chunk at byte " +
-                                std::to_string(col->chunks()[chunk].file_offset) +
-                                "): " + e.what());
+        const std::size_t chunk = final_chunks[i];
+        const ColumnView view = reader.column_view(chunk);
+        try {
+          std::vector<std::uint32_t> ids;
+          partials[i].reserve(view.records);
+          for (std::size_t r = 0; r < view.records; ++r) {
+            partials[i].push_back(absorb(view, r, dict, ids));
           }
-          return;
+        } catch (const DecodeError& e) {
+          throw SnapshotError("corrupt chunk " + std::to_string(chunk) + " (v6, chunk at byte " +
+                              std::to_string(reader.chunks()[chunk].file_offset) +
+                              "): " + e.what());
         }
-        source.visit_chunk(final_chunks[i],
-                           [&](const HostScanRecord& host) { partials[i].push_back(absorb(host)); });
       },
       [&](std::size_t i) {
         for (auto& p : partials[i]) postures.push_back(std::move(p));

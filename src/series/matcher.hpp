@@ -81,9 +81,10 @@ struct MatchResult {
 };
 
 /// Posture pass over a campaign's final measurement: chunk-parallel
-/// absorb, chunk-ordered concatenation (the completed prefix is appended
-/// as workers advance). Identical output for any thread count.
-std::vector<HostPosture> collect_postures(const RecordSource& source, ThreadPool& pool);
+/// absorb over the chunks' columns, chunk-ordered concatenation (the
+/// completed prefix is appended as workers advance). Identical output for
+/// any thread count. The reader must hold at least one measurement.
+std::vector<HostPosture> collect_postures(const SnapshotReader& reader, ThreadPool& pool);
 
 /// The deterministic two-pass matcher. Both passes iterate the
 /// record-ordered vectors front to back, so ties and duplicates resolve

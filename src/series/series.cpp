@@ -29,37 +29,28 @@ void CampaignSet::add_file(std::string path, std::uint64_t seed) {
   members_.push_back(std::move(member));
 }
 
-void CampaignSet::add_snapshots(std::vector<ScanSnapshot> snapshots, std::string label,
+void CampaignSet::add_snapshots(const std::vector<ScanSnapshot>& snapshots, std::string label,
                                 std::int64_t epoch_days) {
-  add_snapshots(std::make_shared<const std::vector<ScanSnapshot>>(std::move(snapshots)),
-                std::move(label), epoch_days);
-}
-
-void CampaignSet::add_snapshots(std::shared_ptr<const std::vector<ScanSnapshot>> snapshots,
-                                std::string label, std::int64_t epoch_days) {
   CampaignMember member;
-  member.snapshots = std::move(snapshots);
+  member.image = std::make_shared<const Bytes>(encode_snapshots(snapshots, member.seed));
   member.label = std::move(label);
   member.epoch_days = epoch_days;
   members_.push_back(std::move(member));
 }
 
-CampaignSet::OpenMember CampaignSet::open(std::size_t index,
-                                          std::uint32_t chunk_records) const {
+CampaignSet::OpenMember CampaignSet::open(std::size_t index) const {
   const CampaignMember& member = members_.at(index);
   OpenMember open;
   if (member.file_backed()) {
     open.reader_ = std::make_unique<SnapshotReader>(member.path, member.seed);
-    open.source_ = std::make_unique<ReaderRecordSource>(*open.reader_);
   } else {
-    open.pin_ = member.snapshots;
-    open.source_ = std::make_unique<SnapshotVectorSource>(*member.snapshots, chunk_records);
+    open.reader_ = std::make_unique<SnapshotReader>(member.image, member.seed);
   }
-  if (open.source_->week_count() == 0) {
+  if (open.reader_->snapshots().empty()) {
     throw SnapshotError("campaign series: member " + std::to_string(index) +
                         " holds no measurement");
   }
-  open.final_meta_ = open.source_->week_meta(open.source_->week_count() - 1);
+  open.final_meta_ = open.reader_->snapshots().back();
   if (!campaign_declared(open.final_meta_)) {
     open.final_meta_.campaign_label = member.label;
     open.final_meta_.campaign_epoch_days = member.epoch_days;
@@ -67,18 +58,14 @@ CampaignSet::OpenMember CampaignSet::open(std::size_t index,
   return open;
 }
 
-std::vector<SnapshotMeta> CampaignSet::final_metas(std::uint32_t chunk_records) const {
+std::vector<SnapshotMeta> CampaignSet::final_metas() const {
   std::vector<SnapshotMeta> metas;
   metas.reserve(members_.size());
-  for (std::size_t i = 0; i < members_.size(); ++i) {
-    metas.push_back(open(i, chunk_records).final_meta());
-  }
+  for (std::size_t i = 0; i < members_.size(); ++i) metas.push_back(open(i).final_meta());
   return metas;
 }
 
-void CampaignSet::validate(std::uint32_t chunk_records) const {
-  validate_campaign_chain(final_metas(chunk_records));
-}
+void CampaignSet::validate() const { validate_campaign_chain(final_metas()); }
 
 // ---------------------------------------------------------- SeriesBuilder
 
@@ -249,19 +236,19 @@ namespace {
 
 /// Postures for one opened member: the sketch sidecar when enabled,
 /// file-backed, present and fingerprint-valid; the posture pass
-/// otherwise. A stale sidecar throws (read_posture_sketch) — it is never
-/// silently skipped.
+/// otherwise (in-memory members never have a sidecar). A stale sidecar
+/// throws (read_posture_sketch) — it is never silently skipped.
 std::vector<HostPosture> member_postures(const CampaignSet& set, std::size_t index,
                                          const CampaignSet::OpenMember& member,
                                          const SeriesOptions& options, ThreadPool& pool) {
-  if (options.use_sketches && member.reader() != nullptr) {
+  if (options.use_sketches && set.member(index).file_backed()) {
     const std::string& path = set.member(index).path;
     auto sketched = read_posture_sketch(posture_sketch_path(path), path,
-                                        member.reader()->file_fingerprint(),
-                                        member.reader()->snapshots().back().host_count);
+                                        member.reader().file_fingerprint(),
+                                        member.reader().snapshots().back().host_count);
     if (sketched) return *std::move(sketched);
   }
-  return collect_postures(member.source(), pool);
+  return collect_postures(member.reader(), pool);
 }
 
 }  // namespace
@@ -279,7 +266,7 @@ SeriesAnalysis analyze_series(const CampaignSet& set, const SeriesOptions& optio
   // its postures are produced, so an out-of-order member fails before
   // its posture work (and a truncated file fails at its open).
   for (std::size_t m = 0; m < set.size(); ++m) {
-    const CampaignSet::OpenMember member = set.open(m, options.chunk_records);
+    const CampaignSet::OpenMember member = set.open(m);
     if (options.validate_ordering) {
       std::vector<SnapshotMeta> chain = builder.finals();
       chain.push_back(member.final_meta());

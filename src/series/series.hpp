@@ -5,10 +5,10 @@
 // about trajectories: the same host observed across many campaigns. A
 // CampaignSet is that trajectory's input — an ordered, lazily-opened list
 // of recorded campaigns, each member either a snapshot file (opened on
-// demand, streamed chunk by chunk) or an in-memory snapshot vector, all
-// exposed uniformly through the RecordSource interface the analysis,
-// diff, and series passes already consume. Member identity (campaign
-// label/epoch) comes from the v5 campaign block for files and from an
+// demand, streamed chunk by chunk) or an in-memory campaign (encoded once
+// into a v6 image when added), all opened as the SnapshotReader the
+// analysis, diff, and series passes consume. Member identity (campaign
+// label/epoch) comes from the campaign footer block for files and from an
 // explicit annotation for in-memory members; ordering is validated with
 // the chain rules generalized from the pairwise diff (epochs strictly
 // increasing over declared members, no duplicate consecutive identity).
@@ -36,13 +36,13 @@
 namespace opcua_study {
 
 /// One member of a series: a recorded snapshot file *or* an in-memory
-/// campaign, plus the identity annotation for the latter.
+/// campaign's v6 image, plus the identity annotation for the latter.
 struct CampaignMember {
   std::string path;        // file-backed member when non-empty
-  std::uint64_t seed = 0;  // snapshot-file seed (file members)
-  std::shared_ptr<const std::vector<ScanSnapshot>> snapshots;  // in-memory member
+  std::uint64_t seed = 0;  // snapshot seed (0 for in-memory images)
+  std::shared_ptr<const Bytes> image;  // in-memory member
   /// Identity annotation for in-memory members (files self-describe via
-  /// the v5 campaign block; the annotation fills in only when the
+  /// the campaign footer block; the annotation fills in only when the
   /// underlying measurement declares none).
   std::string label;
   std::int64_t epoch_days = 0;
@@ -55,24 +55,18 @@ struct CampaignMember {
 /// pass asks for them; a 20-member series costs nothing to describe.
 class CampaignSet {
  public:
-  /// A member opened for reading: a uniform RecordSource view over the
-  /// campaign (SnapshotReader-backed for files, vector-backed for
-  /// in-memory members) plus the final measurement's identity.
+  /// A member opened for reading: its SnapshotReader (over the file or
+  /// the in-memory image) plus the final measurement's identity.
   class OpenMember {
    public:
-    const RecordSource& source() const { return *source_; }
+    const SnapshotReader& reader() const { return *reader_; }
     /// Final-measurement metadata with the member annotation applied.
     const SnapshotMeta& final_meta() const { return final_meta_; }
-    /// Backing SnapshotReader for file members (nullptr for in-memory
-    /// members) — what sketch validation fingerprints against.
-    const SnapshotReader* reader() const { return reader_.get(); }
 
    private:
     friend class CampaignSet;
     OpenMember() = default;
-    std::unique_ptr<SnapshotReader> reader_;  // file members only
-    std::shared_ptr<const std::vector<ScanSnapshot>> pin_;  // in-memory members
-    std::unique_ptr<RecordSource> source_;
+    std::unique_ptr<SnapshotReader> reader_;
     SnapshotMeta final_meta_;
   };
 
@@ -81,11 +75,10 @@ class CampaignSet {
   void add_file(std::string path, std::uint64_t seed);
 
   /// Append an in-memory campaign, optionally annotated with a campaign
-  /// identity (used when the measurement itself declares none).
-  void add_snapshots(std::vector<ScanSnapshot> snapshots, std::string label = "",
+  /// identity (used when the measurement itself declares none). The
+  /// campaign is encoded into a v6 image here, once; opens share it.
+  void add_snapshots(const std::vector<ScanSnapshot>& snapshots, std::string label = "",
                      std::int64_t epoch_days = 0);
-  void add_snapshots(std::shared_ptr<const std::vector<ScanSnapshot>> snapshots,
-                     std::string label = "", std::int64_t epoch_days = 0);
 
   std::size_t size() const { return members_.size(); }
   bool empty() const { return members_.empty(); }
@@ -93,19 +86,17 @@ class CampaignSet {
 
   /// Open member `index`. Throws SnapshotError when the file is missing,
   /// truncated, seed-mismatched, or the campaign holds no measurement.
-  OpenMember open(std::size_t index,
-                  std::uint32_t chunk_records = SnapshotWriter::kDefaultChunkRecords) const;
+  OpenMember open(std::size_t index) const;
 
   /// Final-measurement metadata of every member (each opened briefly —
   /// footer only, no record decode). The cheap prepass validation and
   /// reporting build on.
-  std::vector<SnapshotMeta> final_metas(
-      std::uint32_t chunk_records = SnapshotWriter::kDefaultChunkRecords) const;
+  std::vector<SnapshotMeta> final_metas() const;
 
   /// Chain validation over the members' final measurements
   /// (validate_campaign_chain): epochs strictly increasing across
   /// declared members, no duplicate consecutive identity.
-  void validate(std::uint32_t chunk_records = SnapshotWriter::kDefaultChunkRecords) const;
+  void validate() const;
 
  private:
   std::vector<CampaignMember> members_;
@@ -117,8 +108,6 @@ struct SeriesOptions {
   int threads = 1;
   /// Enforce the campaign-chain ordering rules before analyzing.
   bool validate_ordering = true;
-  /// Chunk size when streaming in-memory members.
-  std::uint32_t chunk_records = SnapshotWriter::kDefaultChunkRecords;
   /// Load posture sketch sidecars (src/series/sketch.hpp) for file-backed
   /// members instead of re-walking their records. A missing sidecar falls
   /// back to the posture pass; a *stale* one (snapshot fingerprint

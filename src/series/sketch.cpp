@@ -195,8 +195,7 @@ std::vector<HostPosture> ensure_posture_sketch(const std::string& path, std::uin
   if (auto cached = read_posture_sketch(sidecar, path, fingerprint, hosts)) {
     return *std::move(cached);
   }
-  const ReaderRecordSource source(reader);
-  std::vector<HostPosture> postures = collect_postures(source, pool);
+  std::vector<HostPosture> postures = collect_postures(reader, pool);
   write_posture_sketch(sidecar, fingerprint, postures);
   return postures;
 }

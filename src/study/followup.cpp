@@ -50,20 +50,22 @@ SnapshotMeta followup_shell(const FollowupConfig& config, const SnapshotMeta& ba
   return shell;
 }
 
-void evolve_final_measurement(const RecordSource& base, const FollowupConfig& config,
+void evolve_final_measurement(const SnapshotReader& base, const FollowupConfig& config,
                               const std::function<void(HostScanRecord&&)>& emit) {
-  if (base.week_count() == 0) {
+  if (base.snapshots().empty()) {
     throw SnapshotError("follow-up study needs a base campaign with >= 1 measurement");
   }
   const FollowupModel model(config);
-  const std::size_t final_week = base.week_count() - 1;
-  for (std::size_t c = 0; c < base.chunk_count(); ++c) {
-    if (base.chunk_week(c) != final_week) continue;
-    base.visit_chunk(c, [&](const HostScanRecord& host) {
+  const std::size_t final_week = base.snapshots().size() - 1;
+  std::vector<HostScanRecord> records;  // one decode buffer for the whole walk
+  for (std::size_t c = 0; c < base.chunks().size(); ++c) {
+    if (base.chunks()[c].snapshot_ordinal != final_week) continue;
+    base.read_chunk(c, records);
+    for (const HostScanRecord& host : records) {
       if (auto evolved = model.evolve(host)) emit(std::move(*evolved));
-    });
+    }
   }
-  model.visit_new_deployments(base.week_meta(final_week).host_count, emit);
+  model.visit_new_deployments(base.snapshots()[final_week].host_count, emit);
 }
 
 std::vector<ScanSnapshot> run_followup_study(const std::vector<ScanSnapshot>& base,
@@ -71,15 +73,15 @@ std::vector<ScanSnapshot> run_followup_study(const std::vector<ScanSnapshot>& ba
   if (base.empty()) {
     throw SnapshotError("follow-up study needs a base campaign with >= 1 measurement");
   }
-  const SnapshotVectorSource source(base, SnapshotWriter::kDefaultChunkRecords);
-  const SnapshotMeta shell = followup_shell(config, source.week_meta(base.size() - 1));
+  const SnapshotReader reader(std::make_shared<const Bytes>(encode_snapshots(base)), 0);
+  const SnapshotMeta shell = followup_shell(config, reader.snapshots().back());
   ScanSnapshot snapshot;
   snapshot.measurement_index = shell.measurement_index;
   snapshot.date_days = shell.date_days;
   snapshot.probes_sent = shell.probes_sent;
   snapshot.tcp_open_count = shell.tcp_open_count;
   snapshot.hosts.reserve(base.back().hosts.size());
-  evolve_final_measurement(source, config,
+  evolve_final_measurement(reader, config,
                            [&](HostScanRecord&& host) { snapshot.hosts.push_back(std::move(host)); });
   return {std::move(snapshot)};
 }
@@ -89,11 +91,10 @@ void run_followup_study_streamed(const SnapshotReader& reader, const FollowupCon
   if (reader.snapshots().empty()) {
     throw SnapshotError("follow-up study needs a base campaign with >= 1 measurement");
   }
-  const ReaderRecordSource source(reader);
   const SnapshotMeta shell = followup_shell(config, reader.snapshots().back());
   writer.set_campaign(config.campaign_label, shell.date_days);
   writer.begin_snapshot(shell.measurement_index, shell.date_days);
-  evolve_final_measurement(source, config,
+  evolve_final_measurement(reader, config,
                            [&](HostScanRecord&& host) { writer.add_host(host); });
   writer.end_snapshot(shell.probes_sent, shell.tcp_open_count);
   writer.finish();
@@ -112,12 +113,10 @@ SnapshotMeta extend_series(CampaignSet& set, const FollowupConfig& config) {
   snapshot.probes_sent = shell.probes_sent;
   snapshot.tcp_open_count = shell.tcp_open_count;
   snapshot.hosts.reserve(last.final_meta().host_count);
-  evolve_final_measurement(last.source(), step,
+  evolve_final_measurement(last.reader(), step,
                            [&](HostScanRecord&& host) { snapshot.hosts.push_back(std::move(host)); });
   shell.host_count = snapshot.hosts.size();
-  std::vector<ScanSnapshot> member;
-  member.push_back(std::move(snapshot));
-  set.add_snapshots(std::move(member), shell.campaign_label, shell.campaign_epoch_days);
+  set.add_snapshots({std::move(snapshot)}, shell.campaign_label, shell.campaign_epoch_days);
   return shell;
 }
 
@@ -135,7 +134,7 @@ SnapshotMeta extend_series(CampaignSet& set, const FollowupConfig& config,
     SnapshotWriter writer(path, file_seed);
     writer.set_campaign(shell.campaign_label, shell.campaign_epoch_days);
     writer.begin_snapshot(shell.measurement_index, shell.date_days);
-    evolve_final_measurement(last.source(), step, [&](HostScanRecord&& host) {
+    evolve_final_measurement(last.reader(), step, [&](HostScanRecord&& host) {
       writer.add_host(host);
       ++hosts;
     });

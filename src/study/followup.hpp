@@ -6,8 +6,9 @@
 // Every entry point evolves the *final* measurement of its base campaign
 // (the paper's headline snapshot) host by host in record order —
 // survivors first, then the new deployments — through one shared
-// RecordSource-driven core, so the streamed, in-memory, and series paths
-// all produce identical measurements. The streamed variants hold one
+// SnapshotReader-driven core (an in-memory base is encoded into a v6 image
+// first), so the streamed, in-memory, and series paths all produce
+// identical measurements. The streamed variants hold one
 // decoded chunk plus the certificate mint fleet; the base campaign is
 // never materialized.
 #pragma once
@@ -43,7 +44,7 @@ SnapshotMeta followup_shell(const FollowupConfig& config, const SnapshotMeta& ba
 /// through the FollowupModel and call `emit` for every record of the
 /// follow-up measurement (survivors in record order, then the new
 /// deployments). Throws SnapshotError when `base` holds no measurement.
-void evolve_final_measurement(const RecordSource& base, const FollowupConfig& config,
+void evolve_final_measurement(const SnapshotReader& base, const FollowupConfig& config,
                               const std::function<void(HostScanRecord&&)>& emit);
 
 /// Append one generated follow-up member to a campaign series: the final

@@ -43,7 +43,7 @@ ScanSnapshot run_measurement(const StudyConfig& config, int week);
 std::vector<ScanSnapshot> run_full_study(const StudyConfig& config);
 
 /// Same campaign, but each weekly measurement is appended to `writer`
-/// (chunked v5 snapshot stream) and dropped — the in-memory high-water
+/// (chunked v6 snapshot stream) and dropped — the in-memory high-water
 /// mark is one measurement, not eight. finish() is called on completion.
 ///
 /// In series terms (src/series/): this produces *member 0* of a campaign

@@ -193,8 +193,7 @@ std::shared_ptr<const std::vector<HostPosture>> CampaignCatalog::postures(
       obs::add(obs::Metric::svc_cache_misses, 1, kCellSketch);
     }
     ThreadPool pool(options_.analysis_threads);
-    const ReaderRecordSource source(*e.reader);
-    std::vector<HostPosture> postures = collect_postures(source, pool);
+    std::vector<HostPosture> postures = collect_postures(*e.reader, pool);
     if (options_.use_sketches && options_.write_sketches) {
       write_posture_sketch(sidecar, e.reader->file_fingerprint(), postures);
     }
@@ -250,8 +249,8 @@ std::size_t CampaignCatalog::resident_bytes() const {
   std::size_t bytes = 0;
   for (const auto& [name, e] : campaigns_) {
     (void)name;
-    // The mapped (v6) or streamed (v5) snapshot payload, chunk index, and
-    // dictionary — the bytes the resident reader pins.
+    // The mapped snapshot payload, chunk index, and dictionary — the
+    // bytes the resident reader pins.
     for (const SnapshotChunkInfo& chunk : e.reader->chunks()) bytes += chunk.payload_bytes;
     bytes += e.reader->chunks().size() * sizeof(SnapshotChunkInfo);
     bytes += e.reader->cert_count() * 64;  // dict entries + index estimate

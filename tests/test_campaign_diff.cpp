@@ -12,6 +12,7 @@
 //    host set with thread-count-invariant bytes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 
@@ -21,6 +22,8 @@
 #include "study/sharded.hpp"
 #include "util/date.hpp"
 #include "util/hex.hpp"
+#include "util/rng.hpp"
+#include "temp_dir.hpp"
 
 namespace opcua_study {
 namespace {
@@ -121,8 +124,8 @@ std::vector<ScanSnapshot> make_base_study(std::size_t hosts_per_week, int weeks 
 
 // ------------------------------------------------ campaign label/epoch ----
 
-TEST(CampaignMeta, RoundTripsThroughV5Footer) {
-  const std::string path = "/tmp/opcua_diff_meta.bin";
+TEST(CampaignMeta, RoundTripsThroughFooter) {
+  const std::string path = temp_path("opcua_diff_meta.bin");
   const std::vector<ScanSnapshot> study = make_base_study(4, 2);
   {
     SnapshotWriter writer(path, 42);
@@ -142,8 +145,8 @@ TEST(CampaignMeta, RoundTripsThroughV5Footer) {
 }
 
 TEST(CampaignMeta, FilesWithoutLabelDefaultAndStayByteIdentical) {
-  const std::string labeled = "/tmp/opcua_diff_meta_labeled.bin";
-  const std::string plain = "/tmp/opcua_diff_meta_plain.bin";
+  const std::string labeled = temp_path("opcua_diff_meta_labeled.bin");
+  const std::string plain = temp_path("opcua_diff_meta_plain.bin");
   const std::vector<ScanSnapshot> study = make_base_study(3, 1);
   save_snapshots(plain, 42, study);  // never calls set_campaign
   {
@@ -162,15 +165,8 @@ TEST(CampaignMeta, FilesWithoutLabelDefaultAndStayByteIdentical) {
                 (4 + 4 + 1 + 8),  // CAMP magic + string "x" (len+1 byte) + i64
             read_file_bytes(labeled).size());
 
-  // v4 files never carry a campaign block and load with defaults.
-  const std::string v4 = "/tmp/opcua_diff_meta_v4.bin";
-  save_snapshots_v4(v4, 7, study);
-  const SnapshotReader v4_reader(v4, 7);
-  EXPECT_EQ(v4_reader.snapshots()[0].campaign_label, "");
-  EXPECT_EQ(v4_reader.snapshots()[0].campaign_epoch_days, 0);
   std::remove(labeled.c_str());
   std::remove(plain.c_str());
-  std::remove(v4.c_str());
 }
 
 // ------------------------------------------------------ evolution model ----
@@ -218,8 +214,8 @@ TEST(FollowupModel, ChurnedAddressesNeverCollide) {
 }
 
 TEST(FollowupStudy, StreamedMatchesInMemory) {
-  const std::string base_path = "/tmp/opcua_diff_base_stream.bin";
-  const std::string followup_path = "/tmp/opcua_diff_followup_stream.bin";
+  const std::string base_path = temp_path("opcua_diff_base_stream.bin");
+  const std::string followup_path = temp_path("opcua_diff_followup_stream.bin");
   const std::vector<ScanSnapshot> base = make_base_study(50);
   save_snapshots(base_path, 42, base);
 
@@ -372,11 +368,76 @@ TEST(CampaignDiffTest, ReusedCertificatesReIdentifyNobody) {
   EXPECT_EQ(diff.arrived, 2u);
 }
 
+// -------------------------------------------- posture oracle (assess/) ----
+
+/// The posture of one full record, built from the assess/ reference
+/// helpers — the oracle the columnar posture pass must reproduce.
+HostPosture reference_posture(const HostScanRecord& host) {
+  HostPosture p;
+  p.ip = host.ip;
+  p.port = host.port;
+  p.protocol = host.protocol;
+  p.asn = host.asn;
+  p.uri_hash = host.application_uri.empty() ? 0 : hash64(host.application_uri);
+  MessageSecurityMode strongest_mode = MessageSecurityMode::Invalid;
+  for (const auto mode : host.advertised_modes()) {
+    if (security_mode_rank(mode) > security_mode_rank(strongest_mode)) strongest_mode = mode;
+  }
+  p.mode_bucket = strongest_mode == MessageSecurityMode::SignAndEncrypt ? 2
+                  : strongest_mode == MessageSecurityMode::Sign         ? 1
+                                                                        : 0;
+  const auto& info = policy_info(strongest_policy(host));
+  p.policy_bucket = info.secure ? 2 : info.deprecated ? 1 : 0;
+  for (const auto policy : host.advertised_policies()) {
+    p.supports_deprecated |= policy_info(policy).deprecated;
+  }
+  p.anonymous = host.anonymous_offered;
+  p.deficient = is_deficient(host);
+  p.fps = host.distinct_cert_fingerprints();
+  std::sort(p.fps.begin(), p.fps.end());
+  p.fps.erase(std::unique(p.fps.begin(), p.fps.end()), p.fps.end());
+  return p;
+}
+
+TEST(PostureOracle, ColumnarPosturesMatchAssessHelpers) {
+  // A base campaign and its evolved follow-up: upgrades, downgrades,
+  // renewed and lost certificates, churned addresses and new deployments.
+  const std::vector<ScanSnapshot> base = make_base_study(60);
+  const std::vector<ScanSnapshot> followup = run_followup_study(base, small_followup_config());
+  const std::string path = temp_path("opcua_posture_oracle.bin");
+  for (const auto* study : {&base, &followup}) {
+    for (const std::uint32_t chunk : {7u, SnapshotWriter::kDefaultChunkRecords}) {
+      {
+        SnapshotWriter writer(path, 42, chunk);
+        for (const auto& snapshot : *study) writer.add_snapshot(snapshot);
+        writer.finish();
+      }
+      const SnapshotReader reader(path, 42);
+      const std::vector<ScanSnapshot> records = reader.load_all();
+      std::vector<HostPosture> expected;
+      for (const HostScanRecord& host : records.back().hosts) {
+        expected.push_back(reference_posture(host));
+      }
+      ASSERT_FALSE(expected.empty());
+      for (const int threads : {1, 4}) {
+        ThreadPool pool(threads);
+        const std::vector<HostPosture> postures = collect_postures(reader, pool);
+        ASSERT_EQ(postures.size(), expected.size());
+        for (std::size_t i = 0; i < postures.size(); ++i) {
+          EXPECT_EQ(postures[i], expected[i])
+              << "record " << i << ", chunk " << chunk << ", threads " << threads;
+        }
+      }
+    }
+  }
+  std::remove(path.c_str());
+}
+
 // ------------------------------------------------ determinism and scale ----
 
 TEST(CampaignDiffTest, DeterministicAcrossThreadsAndStreamedVsLoadAll) {
-  const std::string base_path = "/tmp/opcua_diff_det_base.bin";
-  const std::string followup_path = "/tmp/opcua_diff_det_followup.bin";
+  const std::string base_path = temp_path("opcua_diff_det_base.bin");
+  const std::string followup_path = temp_path("opcua_diff_det_followup.bin");
   const std::vector<ScanSnapshot> base = make_base_study(80);
   const FollowupConfig config = small_followup_config();
   const std::vector<ScanSnapshot> followup = run_followup_study(base, config);
@@ -402,11 +463,8 @@ TEST(CampaignDiffTest, DeterministicAcrossThreadsAndStreamedVsLoadAll) {
   EXPECT_EQ(streamed1, streamed8);
 
   // Load-all inputs (in-memory vectors, no campaign labels) must produce
-  // the identical counts, for any chunking.
-  DiffOptions tiny_chunks;
-  tiny_chunks.threads = 8;
-  tiny_chunks.chunk_records = 7;
-  const CampaignDiff load_all = diff_snapshots(base, followup, tiny_chunks);
+  // the identical counts.
+  const CampaignDiff load_all = diff_snapshots(base, followup, parallel);
   EXPECT_TRUE(streamed1.counts_equal(load_all));
   EXPECT_GT(streamed1.matched(), 0u);
   EXPECT_GT(streamed1.matched_by_certificate, 0u);
@@ -417,8 +475,8 @@ TEST(CampaignDiffTest, DeterministicAcrossThreadsAndStreamedVsLoadAll) {
 }
 
 TEST(CampaignDiffTest, CorruptSecondCampaignFailsWithSnapshotError) {
-  const std::string base_path = "/tmp/opcua_diff_corrupt_base.bin";
-  const std::string followup_path = "/tmp/opcua_diff_corrupt_followup.bin";
+  const std::string base_path = temp_path("opcua_diff_corrupt_base.bin");
+  const std::string followup_path = temp_path("opcua_diff_corrupt_followup.bin");
   const std::vector<ScanSnapshot> base = make_base_study(30);
   const std::vector<ScanSnapshot> followup = run_followup_study(base, small_followup_config());
   save_snapshots(base_path, 42, base);
@@ -464,8 +522,8 @@ TEST(CampaignDiffTest, PairingValidation) {
     for (const auto& snapshot : study) writer.add_snapshot(snapshot);
     writer.finish();
   };
-  const std::string a = "/tmp/opcua_diff_pair_a.bin";
-  const std::string b = "/tmp/opcua_diff_pair_b.bin";
+  const std::string a = temp_path("opcua_diff_pair_a.bin");
+  const std::string b = temp_path("opcua_diff_pair_b.bin");
 
   // Follow-up epoch before the base epoch: the pairing is backwards.
   write_labeled(a, base, "study-2020", 2000);
@@ -547,8 +605,8 @@ TEST(ShardedStreamedStudy, MatchesShardedCampaignWithThreadInvariantBytes) {
     writer.finish();
     return meta;
   };
-  const std::string serial_path = "/tmp/opcua_diff_sharded_serial.bin";
-  const std::string threaded_path = "/tmp/opcua_diff_sharded_threaded.bin";
+  const std::string serial_path = temp_path("opcua_diff_sharded_serial.bin");
+  const std::string threaded_path = temp_path("opcua_diff_sharded_threaded.bin");
   const SnapshotMeta meta1 = run_streamed(serial_path, 1);
   const SnapshotMeta meta4 = run_streamed(threaded_path, 4);
 

@@ -22,6 +22,7 @@
 #include "study/sharded.hpp"
 #include "study/study.hpp"
 #include "util/thread_pool.hpp"
+#include "temp_dir.hpp"
 
 namespace opcua_study {
 namespace {
@@ -69,7 +70,7 @@ TEST(KeyFactoryParallel, PrefetchMatchesSerialGeneration) {
 }
 
 TEST(KeyFactoryParallel, FlushIsAtomicAndPreservesForeignSeeds) {
-  const std::string cache = "/tmp/opcua_study_test_keycache_atomic";
+  const std::string cache = temp_path("opcua_study_test_keycache_atomic");
   std::remove(cache.c_str());
   std::remove((cache + ".tmp").c_str());
   {

@@ -16,6 +16,7 @@
 #include "study/sharded.hpp"
 #include "study/study.hpp"
 #include "util/date.hpp"
+#include "temp_dir.hpp"
 
 namespace opcua_study {
 namespace {
@@ -200,8 +201,8 @@ TEST(FaultInjection, FaultFreePlanMatchesNoPlanByteForByte) {
     EXPECT_EQ(host.retries, 0);
     EXPECT_EQ(host.fault_events, 0);
   }
-  const std::string path_a = "/tmp/opcua_test_faultfree_a.bin";
-  const std::string path_b = "/tmp/opcua_test_faultfree_b.bin";
+  const std::string path_a = temp_path("opcua_test_faultfree_a.bin");
+  const std::string path_b = temp_path("opcua_test_faultfree_b.bin");
   save_snapshots(path_a, 42, {bare});
   save_snapshots(path_b, 42, {with_noop_plan});
   EXPECT_EQ(read_file_bytes(path_a), read_file_bytes(path_b));
@@ -270,7 +271,7 @@ TEST(FaultInjection, QualityFieldsRoundTripThroughV6) {
   snapshot.hosts.push_back(quality_record(3, ProbeOutcome::truncated, 16, 7));
   snapshot.hosts.push_back(quality_record(4, ProbeOutcome::degraded, 4, 2));
 
-  const std::string path = "/tmp/opcua_test_quality_tail.bin";
+  const std::string path = temp_path("opcua_test_quality_tail.bin");
   save_snapshots(path, 42, {snapshot});
   const auto loaded = load_snapshots(path, 42);
   ASSERT_TRUE(loaded.has_value());
@@ -306,20 +307,6 @@ TEST(FaultInjection, FaultFreeAnalysisReportsTrivialQuality) {
   EXPECT_EQ(analysis.scan_quality.recovery_rate, 1.0);
 }
 
-TEST(FaultInjection, RowFormatsRefuseQualityFields) {
-  ScanSnapshot snapshot;
-  snapshot.measurement_index = 0;
-  snapshot.hosts.push_back(quality_record(1, ProbeOutcome::degraded, 1, 1));
-
-  const std::string path = "/tmp/opcua_test_quality_v5.bin";
-  SnapshotWriter writer(path, 42, SnapshotWriter::kDefaultChunkRecords, 5);
-  writer.begin_snapshot(0, 0);
-  EXPECT_THROW(writer.add_host(snapshot.hosts.front()), SnapshotError);
-  EXPECT_THROW(save_snapshots_v4(path, 42, {snapshot}), SnapshotError);
-  std::remove(path.c_str());
-  std::remove((path + ".tmp").c_str());
-}
-
 // --------------------------------------------------- checkpoint / resume ----
 
 TEST(FaultInjection, KilledCampaignResumesToByteIdenticalSnapshot) {
@@ -339,7 +326,7 @@ TEST(FaultInjection, KilledCampaignResumesToByteIdenticalSnapshot) {
   config.chunk_records = 3;  // force chunk boundaries inside each shard batch
 
   // Reference: the same campaign written by the plain streamed runner.
-  const std::string direct_path = "/tmp/opcua_test_ckpt_direct.bin";
+  const std::string direct_path = temp_path("opcua_test_ckpt_direct.bin");
   {
     Deployer deployer = make_deployer(plan);
     SnapshotWriter writer(direct_path, 42, config.chunk_records);
@@ -350,8 +337,8 @@ TEST(FaultInjection, KilledCampaignResumesToByteIdenticalSnapshot) {
   }
 
   // Uninterrupted checkpointed run.
-  const std::string full_path = "/tmp/opcua_test_ckpt_full.bin";
-  config.dir = "/tmp/opcua_test_ckpt_full_dir";
+  const std::string full_path = temp_path("opcua_test_ckpt_full.bin");
+  config.dir = temp_path("opcua_test_ckpt_full_dir");
   std::filesystem::remove_all(config.dir);
   {
     Deployer deployer = make_deployer(plan);
@@ -360,8 +347,8 @@ TEST(FaultInjection, KilledCampaignResumesToByteIdenticalSnapshot) {
 
   // "Killed" run: stop after a single sealed unit, then resume twice (the
   // second resume starts from a partially filled manifest).
-  const std::string resumed_path = "/tmp/opcua_test_ckpt_resumed.bin";
-  config.dir = "/tmp/opcua_test_ckpt_resumed_dir";
+  const std::string resumed_path = temp_path("opcua_test_ckpt_resumed.bin");
+  config.dir = temp_path("opcua_test_ckpt_resumed_dir");
   std::filesystem::remove_all(config.dir);
   {
     Deployer deployer = make_deployer(plan);
@@ -390,8 +377,8 @@ TEST(FaultInjection, KilledCampaignResumesToByteIdenticalSnapshot) {
   EXPECT_GT(analysis.scan_quality.faulted, 0u);
   EXPECT_EQ(analysis.scan_quality.weeks.size(), 2u);
 
-  std::filesystem::remove_all("/tmp/opcua_test_ckpt_full_dir");
-  std::filesystem::remove_all("/tmp/opcua_test_ckpt_resumed_dir");
+  std::filesystem::remove_all(temp_path("opcua_test_ckpt_full_dir"));
+  std::filesystem::remove_all(temp_path("opcua_test_ckpt_resumed_dir"));
   std::remove(direct_path.c_str());
   std::remove(full_path.c_str());
   std::remove(resumed_path.c_str());
@@ -408,10 +395,10 @@ TEST(FaultInjection, CheckpointManifestRejectsIncompatibleResume) {
   config.first_week = 7;
   config.weeks = 1;
   config.snapshot_seed = 42;
-  config.dir = "/tmp/opcua_test_ckpt_mismatch_dir";
+  config.dir = temp_path("opcua_test_ckpt_mismatch_dir");
   std::filesystem::remove_all(config.dir);
 
-  const std::string out = "/tmp/opcua_test_ckpt_mismatch.bin";
+  const std::string out = temp_path("opcua_test_ckpt_mismatch.bin");
   {
     Deployer deployer = make_deployer(plan);
     CheckpointConfig partial = config;

@@ -25,6 +25,7 @@
 #include "study/study.hpp"
 #include "util/date.hpp"
 #include "util/thread_pool.hpp"
+#include "temp_dir.hpp"
 
 namespace opcua_study {
 namespace {
@@ -178,8 +179,8 @@ TEST(Observability, StableTelemetryByteIdenticalAcrossLayouts) {
 
 TEST(Observability, SnapshotBytesIdenticalTelemetryOnVsOff) {
   const PopulationPlan plan = mixed_plan();
-  const std::string path_off = "/tmp/opcua_test_obs_off.bin";
-  const std::string path_on = "/tmp/opcua_test_obs_on.bin";
+  const std::string path_off = temp_path("opcua_test_obs_off.bin");
+  const std::string path_on = temp_path("opcua_test_obs_on.bin");
 
   // Telemetry observes the campaign; it must never steer it. The full
   // pipeline (hostile campaign -> v6 snapshot file) runs once with the

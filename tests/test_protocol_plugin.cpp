@@ -27,6 +27,7 @@
 #include "study/sharded.hpp"
 #include "study/study.hpp"
 #include "util/date.hpp"
+#include "temp_dir.hpp"
 
 namespace opcua_study {
 namespace {
@@ -186,8 +187,8 @@ TEST(ProtocolPlugin, OpcUaThroughRegistryIsByteIdentical) {
   const ScanSnapshot registry = run_with(true);
   EXPECT_EQ(legacy, registry);
 
-  const std::string legacy_path = "test_proto_legacy.bin";
-  const std::string registry_path = "test_proto_registry.bin";
+  const std::string legacy_path = temp_path("test_proto_legacy.bin");
+  const std::string registry_path = temp_path("test_proto_registry.bin");
   save_snapshots(legacy_path, 5, {legacy});
   save_snapshots(registry_path, 5, {registry});
   EXPECT_EQ(read_file_bytes(legacy_path), read_file_bytes(registry_path));
@@ -222,16 +223,18 @@ TEST(ProtocolPlugin, MixedShardedStreamIsThreadCountInvariant) {
     run_sharded_campaign_streamed(deployer, 7, config, writer);
     writer.finish();
   };
-  stream_with_threads(1, "test_proto_t1.bin");
-  stream_with_threads(8, "test_proto_t8.bin");
-  EXPECT_EQ(read_file_bytes("test_proto_t1.bin"), read_file_bytes("test_proto_t8.bin"));
+  const std::string t1_path = temp_path("test_proto_t1.bin");
+  const std::string t8_path = temp_path("test_proto_t8.bin");
+  stream_with_threads(1, t1_path);
+  stream_with_threads(8, t8_path);
+  EXPECT_EQ(read_file_bytes(t1_path), read_file_bytes(t8_path));
 
   // The mixed file declares both families in its protocol mask.
-  const SnapshotReader reader("test_proto_t8.bin", 5);
+  const SnapshotReader reader(t8_path, 5);
   ASSERT_EQ(reader.snapshots().size(), 1u);
   EXPECT_EQ(reader.snapshots()[0].protocol_mask, 0b11u);
-  std::remove("test_proto_t1.bin");
-  std::remove("test_proto_t8.bin");
+  std::remove(t1_path.c_str());
+  std::remove(t8_path.c_str());
 }
 
 TEST(ProtocolPlugin, MixedFleetInterleaveDeterminism) {
@@ -346,7 +349,7 @@ std::vector<ScanSnapshot> synthetic_mixed_study(int weeks = 2) {
 
 TEST(ProtocolColumn, V6RoundTripCarriesProtocolAndMask) {
   const std::vector<ScanSnapshot> study = synthetic_mixed_study();
-  const std::string path = "test_proto_column.bin";
+  const std::string path = temp_path("test_proto_column.bin");
   save_snapshots(path, 11, study);
 
   const SnapshotReader reader(path, 11);
@@ -360,22 +363,6 @@ TEST(ProtocolColumn, V6RoundTripCarriesProtocolAndMask) {
       EXPECT_EQ(loaded[w].hosts[i], study[w].hosts[i]);
     }
   }
-  std::remove(path.c_str());
-}
-
-TEST(ProtocolColumn, RowFormatsRefuseNonOpcuaRecords) {
-  const std::vector<ScanSnapshot> study = synthetic_mixed_study(1);
-  const std::string path = "test_proto_refuse.bin";
-  {
-    SnapshotWriter v5(path, 11, SnapshotWriter::kDefaultChunkRecords, 5);
-    v5.begin_snapshot(0, study[0].date_days);
-    EXPECT_THROW(
-        {
-          for (const auto& host : study[0].hosts) v5.add_host(host);
-        },
-        SnapshotError);
-  }
-  EXPECT_THROW(save_snapshots_v4(path, 11, study), SnapshotError);
   std::remove(path.c_str());
 }
 
@@ -416,7 +403,7 @@ TEST(ProtocolAnalysis, AggregatorMatchesAssessReference) {
   EXPECT_EQ(in_memory.protocols, reference);
 
   // The columnar fast path decodes the protocol tail the same way.
-  const std::string path = "test_proto_analysis.bin";
+  const std::string path = temp_path("test_proto_analysis.bin");
   save_snapshots(path, 11, study);
   const StudyAnalysis from_file = analyze_file(path, 11);
   EXPECT_EQ(from_file.protocols, reference);

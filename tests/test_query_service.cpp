@@ -23,6 +23,7 @@
 #include "svc/service.hpp"
 #include "util/date.hpp"
 #include "util/thread_pool.hpp"
+#include "temp_dir.hpp"
 
 namespace opcua_study {
 namespace {
@@ -99,8 +100,7 @@ void write_campaign(const std::string& path, std::uint64_t seed, const std::stri
 std::vector<HostPosture> walk_postures(const std::string& path, std::uint64_t seed) {
   const SnapshotReader reader(path, seed);
   ThreadPool pool(1);
-  const ReaderRecordSource source(reader);
-  return collect_postures(source, pool);
+  return collect_postures(reader, pool);
 }
 
 FollowupConfig small_followup_config() {
@@ -130,7 +130,7 @@ struct TempFiles {
 
 TEST(PostureSketch, RoundTripPreservesEveryPosture) {
   TempFiles tmp;
-  const std::string path = tmp.add("/tmp/opcua_svc_sketch_rt.bin");
+  const std::string path = tmp.add(temp_path("opcua_svc_sketch_rt.bin"));
   write_campaign(path, 42, "sketch-rt", 100, 60);
   const SnapshotReader reader(path, 42);
   const std::vector<HostPosture> walked = walk_postures(path, 42);
@@ -147,14 +147,14 @@ TEST(PostureSketch, RoundTripPreservesEveryPosture) {
 
 TEST(PostureSketch, AbsentSidecarReturnsNullopt) {
   TempFiles tmp;
-  const std::string path = tmp.add("/tmp/opcua_svc_sketch_absent.bin");
+  const std::string path = tmp.add(temp_path("opcua_svc_sketch_absent.bin"));
   write_campaign(path, 42, "sketch-absent", 100, 5);
   EXPECT_FALSE(read_posture_sketch(posture_sketch_path(path), path, 1234, 5).has_value());
 }
 
 TEST(PostureSketch, StaleFingerprintFailsNamingBothPaths) {
   TempFiles tmp;
-  const std::string path = tmp.add("/tmp/opcua_svc_sketch_stale.bin");
+  const std::string path = tmp.add(temp_path("opcua_svc_sketch_stale.bin"));
   write_campaign(path, 42, "sketch-stale", 100, 20);
   const SnapshotReader reader(path, 42);
   const std::vector<HostPosture> walked = walk_postures(path, 42);
@@ -174,7 +174,7 @@ TEST(PostureSketch, StaleFingerprintFailsNamingBothPaths) {
 
 TEST(PostureSketch, HostCountMismatchFailsNamingBothPaths) {
   TempFiles tmp;
-  const std::string path = tmp.add("/tmp/opcua_svc_sketch_count.bin");
+  const std::string path = tmp.add(temp_path("opcua_svc_sketch_count.bin"));
   write_campaign(path, 42, "sketch-count", 100, 20);
   const SnapshotReader reader(path, 42);
   std::vector<HostPosture> walked = walk_postures(path, 42);
@@ -193,7 +193,7 @@ TEST(PostureSketch, HostCountMismatchFailsNamingBothPaths) {
 
 TEST(PostureSketch, TruncationAndBitFlipsFailTheChecksum) {
   TempFiles tmp;
-  const std::string path = tmp.add("/tmp/opcua_svc_sketch_corrupt.bin");
+  const std::string path = tmp.add(temp_path("opcua_svc_sketch_corrupt.bin"));
   write_campaign(path, 42, "sketch-corrupt", 100, 30);
   const SnapshotReader reader(path, 42);
   const std::vector<HostPosture> walked = walk_postures(path, 42);
@@ -221,7 +221,7 @@ TEST(PostureSketch, TruncationAndBitFlipsFailTheChecksum) {
 
 TEST(PostureSketch, EnsureWritesOnceThenLoads) {
   TempFiles tmp;
-  const std::string path = tmp.add("/tmp/opcua_svc_sketch_ensure.bin");
+  const std::string path = tmp.add(temp_path("opcua_svc_sketch_ensure.bin"));
   write_campaign(path, 42, "sketch-ensure", 100, 25);
   ThreadPool pool(1);
   const std::vector<HostPosture> first = ensure_posture_sketch(path, 42, pool);
@@ -238,13 +238,13 @@ TEST(PostureSketch, EnsureWritesOnceThenLoads) {
 
 TEST(SeriesSketches, SketchFedAnalysisIsByteIdenticalToTheWalk) {
   TempFiles tmp;
-  const std::string base = tmp.add("/tmp/opcua_svc_series_base.bin");
+  const std::string base = tmp.add(temp_path("opcua_svc_series_base.bin"));
   write_campaign(base, 42, "svc-series-base", 100, 80);
   CampaignSet set;
   set.add_file(base, 42);
   // File-backed extend_series cuts a sketch sidecar per member.
-  extend_series(set, small_followup_config(), tmp.add("/tmp/opcua_svc_series_f1.bin"), 43);
-  extend_series(set, small_followup_config(), tmp.add("/tmp/opcua_svc_series_f2.bin"), 44);
+  extend_series(set, small_followup_config(), tmp.add(temp_path("opcua_svc_series_f1.bin")), 43);
+  extend_series(set, small_followup_config(), tmp.add(temp_path("opcua_svc_series_f2.bin")), 44);
   EXPECT_TRUE(read_posture_sketch(posture_sketch_path(tmp.paths[1]), tmp.paths[1],
                                   SnapshotReader(tmp.paths[1], 43).file_fingerprint(),
                                   set.final_metas()[1].host_count)
@@ -265,13 +265,13 @@ TEST(SeriesSketches, SketchFedAnalysisIsByteIdenticalToTheWalk) {
 
 TEST(CampaignCatalog, IncrementalAppendReadsZeroSnapshotChunks) {
   TempFiles tmp;
-  const std::string base = tmp.add("/tmp/opcua_svc_cat_base.bin");
+  const std::string base = tmp.add(temp_path("opcua_svc_cat_base.bin"));
   write_campaign(base, 42, "svc-cat-base", 100, 80);
   CampaignSet set;
   set.add_file(base, 42);
-  extend_series(set, small_followup_config(), tmp.add("/tmp/opcua_svc_cat_f1.bin"), 43);
-  extend_series(set, small_followup_config(), tmp.add("/tmp/opcua_svc_cat_f2.bin"), 44);
-  extend_series(set, small_followup_config(), tmp.add("/tmp/opcua_svc_cat_f3.bin"), 45);
+  extend_series(set, small_followup_config(), tmp.add(temp_path("opcua_svc_cat_f1.bin")), 43);
+  extend_series(set, small_followup_config(), tmp.add(temp_path("opcua_svc_cat_f2.bin")), 44);
+  extend_series(set, small_followup_config(), tmp.add(temp_path("opcua_svc_cat_f3.bin")), 45);
 
   obs::reset();
   obs::set_enabled(true);
@@ -310,11 +310,11 @@ TEST(CampaignCatalog, IncrementalAppendReadsZeroSnapshotChunks) {
 
 TEST(QueryService, ResponsesAreByteIdenticalAcrossWorkerCounts) {
   TempFiles tmp;
-  const std::string base = tmp.add("/tmp/opcua_svc_det_base.bin");
+  const std::string base = tmp.add(temp_path("opcua_svc_det_base.bin"));
   write_campaign(base, 42, "svc-det-base", 100, 60);
   CampaignSet set;
   set.add_file(base, 42);
-  extend_series(set, small_followup_config(), tmp.add("/tmp/opcua_svc_det_f1.bin"), 43);
+  extend_series(set, small_followup_config(), tmp.add(temp_path("opcua_svc_det_f1.bin")), 43);
 
   svc::CampaignCatalog catalog;
   catalog.register_campaign("m0", tmp.paths[0], 42);
@@ -365,7 +365,7 @@ TEST(QueryService, ResponsesAreByteIdenticalAcrossWorkerCounts) {
 
 TEST(QueryService, AdmissionControlRejectsBeyondMaxQueue) {
   TempFiles tmp;
-  const std::string base = tmp.add("/tmp/opcua_svc_adm_base.bin");
+  const std::string base = tmp.add(temp_path("opcua_svc_adm_base.bin"));
   write_campaign(base, 42, "svc-adm-base", 100, 10);
   svc::CampaignCatalog catalog;
   catalog.register_campaign("m0", base, 42);
@@ -403,7 +403,7 @@ TEST(QueryService, AdmissionControlRejectsBeyondMaxQueue) {
 
 TEST(QueryService, DestructorCompletesQueuedRequestsAsRejected) {
   TempFiles tmp;
-  const std::string base = tmp.add("/tmp/opcua_svc_dtor_base.bin");
+  const std::string base = tmp.add(temp_path("opcua_svc_dtor_base.bin"));
   write_campaign(base, 42, "svc-dtor-base", 100, 10);
   svc::CampaignCatalog catalog;
   catalog.register_campaign("m0", base, 42);
@@ -422,7 +422,7 @@ TEST(QueryService, DestructorCompletesQueuedRequestsAsRejected) {
 
 TEST(QueryService, StaleSketchSurfacesAsDeterministicErrorNamingBothPaths) {
   TempFiles tmp;
-  const std::string path = tmp.add("/tmp/opcua_svc_stale_q.bin");
+  const std::string path = tmp.add(temp_path("opcua_svc_stale_q.bin"));
   write_campaign(path, 42, "svc-stale-q", 100, 20);
   const SnapshotReader reader(path, 42);
   write_posture_sketch(posture_sketch_path(path), reader.file_fingerprint() ^ 1,

@@ -5,6 +5,7 @@
 
 #include "report/report.hpp"
 #include "scanner/snapshot_io.hpp"
+#include "temp_dir.hpp"
 
 namespace opcua_study {
 namespace {
@@ -97,7 +98,7 @@ ScanSnapshot sample_snapshot() {
 }
 
 TEST(SnapshotIo, RoundTrip) {
-  const std::string path = "/tmp/opcua_study_test_snapshots.bin";
+  const std::string path = temp_path("opcua_study_test_snapshots.bin");
   const std::vector<ScanSnapshot> snapshots = {sample_snapshot()};
   save_snapshots(path, 42, snapshots);
 
@@ -126,12 +127,12 @@ TEST(SnapshotIo, RoundTrip) {
   // Wrong seed -> cache miss.
   EXPECT_FALSE(load_snapshots(path, 43).has_value());
   // Missing file -> cache miss.
-  EXPECT_FALSE(load_snapshots("/tmp/no_such_snapshot_file.bin", 42).has_value());
+  EXPECT_FALSE(load_snapshots(temp_path("no_such_snapshot_file.bin"), 42).has_value());
   std::remove(path.c_str());
 }
 
 TEST(SnapshotIo, CorruptFileRejected) {
-  const std::string path = "/tmp/opcua_study_corrupt.bin";
+  const std::string path = temp_path("opcua_study_corrupt.bin");
   save_snapshots(path, 42, {sample_snapshot()});
   // Truncate.
   {

@@ -6,6 +6,7 @@
 #include "crypto/keycache.hpp"
 #include "crypto/rsa.hpp"
 #include "util/rng.hpp"
+#include "temp_dir.hpp"
 
 namespace opcua_study {
 namespace {
@@ -132,7 +133,7 @@ TEST(RsaEncrypt, DecryptRejectsGarbage) {
 }
 
 TEST(KeyFactory, DeterministicAndCached) {
-  const std::string cache = "/tmp/opcua_study_test_keycache";
+  const std::string cache = temp_path("opcua_study_test_keycache");
   std::remove(cache.c_str());
   {
     KeyFactory f1(77, cache);

@@ -23,6 +23,7 @@
 #include "study/followup.hpp"
 #include "util/date.hpp"
 #include "util/thread_pool.hpp"
+#include "temp_dir.hpp"
 
 namespace opcua_study {
 namespace {
@@ -252,8 +253,8 @@ TEST(SeriesChain, HandCraftedThreeMemberTimelines) {
 // ------------------------------------------------- N=2 specialization ----
 
 TEST(SeriesEquivalence, TwoMemberSeriesReproducesPairwiseDiff) {
-  const std::string base_path = "/tmp/opcua_series_pair_base.bin";
-  const std::string followup_path = "/tmp/opcua_series_pair_followup.bin";
+  const std::string base_path = temp_path("opcua_series_pair_base.bin");
+  const std::string followup_path = temp_path("opcua_series_pair_followup.bin");
   {
     SnapshotWriter writer(base_path, 42);
     writer.set_campaign("series-base", days_from_civil({2020, 8, 30}));
@@ -289,10 +290,10 @@ TEST(SeriesEquivalence, TwoMemberSeriesReproducesPairwiseDiff) {
 // ------------------------------------- determinism across input shapes ----
 
 TEST(SeriesDeterminism, ThreadCountAndStreamedVsLoadAllAreByteIdentical) {
-  const std::string base_path = "/tmp/opcua_series_det_base.bin";
+  const std::string base_path = temp_path("opcua_series_det_base.bin");
   const std::vector<std::string> followup_paths = {
-      "/tmp/opcua_series_det_f1.bin", "/tmp/opcua_series_det_f2.bin",
-      "/tmp/opcua_series_det_f3.bin"};
+      temp_path("opcua_series_det_f1.bin"), temp_path("opcua_series_det_f2.bin"),
+      temp_path("opcua_series_det_f3.bin")};
   {
     // Small chunks -> many parallel posture work units with ragged tails.
     SnapshotWriter writer(base_path, 42, 17);
@@ -323,17 +324,14 @@ TEST(SeriesDeterminism, ThreadCountAndStreamedVsLoadAllAreByteIdentical) {
   EXPECT_EQ(series_analysis_json(streamed1), series_analysis_json(streamed8));
 
   // Load-all members (annotated with the files' identities) must analyze
-  // byte-identically, for any chunking.
+  // byte-identically.
   CampaignSet memory;
   for (std::size_t i = 0; i < files.size(); ++i) {
     const CampaignMember& member = files.member(i);
     memory.add_snapshots(SnapshotReader(member.path, member.seed).load_all(),
                          metas[i].campaign_label, metas[i].campaign_epoch_days);
   }
-  SeriesOptions tiny_chunks;
-  tiny_chunks.threads = 8;
-  tiny_chunks.chunk_records = 7;
-  const SeriesAnalysis load_all = analyze_series(memory, tiny_chunks);
+  const SeriesAnalysis load_all = analyze_series(memory, parallel);
   EXPECT_EQ(streamed1, load_all);
   EXPECT_EQ(series_analysis_json(streamed1), series_analysis_json(load_all));
 
@@ -379,9 +377,9 @@ TEST(SeriesErrors, ShortSetsEmptyMembersAndTruncationFail) {
 }
 
 TEST(SeriesErrors, TruncatedMiddleMemberFailsWithSnapshotError) {
-  const std::string base_path = "/tmp/opcua_series_trunc_base.bin";
-  const std::string mid_path = "/tmp/opcua_series_trunc_mid.bin";
-  const std::string last_path = "/tmp/opcua_series_trunc_last.bin";
+  const std::string base_path = temp_path("opcua_series_trunc_base.bin");
+  const std::string mid_path = temp_path("opcua_series_trunc_mid.bin");
+  const std::string last_path = temp_path("opcua_series_trunc_last.bin");
   {
     SnapshotWriter writer(base_path, 42);
     writer.set_campaign("trunc-base", 100);
@@ -466,15 +464,15 @@ TEST(AnalysisEarlyMerge, ThrowingMergeNeverMergesAnIndexTwice) {
 }
 
 TEST(AnalysisEarlyMerge, PrefixMergedAggregationStaysThreadInvariant) {
-  const std::vector<ScanSnapshot> study = make_base_study(70, 3);
+  // Chunks of 7 records: many ragged chunks -> many prefix merges.
+  const SnapshotReader reader(
+      std::make_shared<const Bytes>(encode_snapshots(make_base_study(70, 3), 0, 7)), 0);
   AnalysisOptions serial;
   serial.threads = 1;
-  serial.chunk_records = 7;  // many ragged chunks -> many prefix merges
   AnalysisOptions parallel;
   parallel.threads = 8;
-  parallel.chunk_records = 7;
-  const StudyAnalysis a = analyze_snapshots(study, serial);
-  const StudyAnalysis b = analyze_snapshots(study, parallel);
+  const StudyAnalysis a = analyze_reader(reader, serial);
+  const StudyAnalysis b = analyze_reader(reader, parallel);
   EXPECT_TRUE(a.figures_equal(b));
 }
 

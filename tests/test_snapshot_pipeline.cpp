@@ -1,14 +1,14 @@
 // Chunked snapshot pipeline + shared analysis library:
-//  - v6 (columnar + cert dictionary) round trips across chunk boundaries,
-//    v4 and v5 files still load, and rewriting either as v6 preserves
-//    every record byte-deterministically,
+//  - v6 (columnar + cert dictionary) round trips across chunk boundaries;
+//    the retired v4/v5 headers are rejected by name,
 //  - truncated / corrupt files fail with SnapshotError instead of
 //    yielding garbage records; out-of-range dictionary ids are rejected;
 //    a dictionary spanning several parallel verify blocks reports the
 //    lowest corrupt entry on every run,
 //  - the streaming Aggregator is deterministic in the thread count and
-//    input format and bit-identical to the assess/ reference
-//    implementations (the v6 columnar fast path included).
+//    chunking and bit-identical to the assess/ reference implementations,
+//  - in-memory campaigns (encoded into v6 images) analyze, diff and
+//    chain into series exactly like the same records read from files.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -21,6 +21,7 @@
 #include "scanner/snapshot_io.hpp"
 #include "series/series.hpp"
 #include "util/date.hpp"
+#include "temp_dir.hpp"
 
 namespace opcua_study {
 namespace {
@@ -130,7 +131,7 @@ std::vector<ScanSnapshot> make_study(std::size_t hosts_per_week, int weeks = 2) 
 }
 
 TEST(SnapshotV6, RoundTripAcrossChunkBoundaries) {
-  const std::string path = "/tmp/opcua_test_v6_chunks.bin";
+  const std::string path = temp_path("opcua_test_v6_chunks.bin");
   const std::vector<ScanSnapshot> study = make_study(10);
 
   // chunk_records = 3 forces boundaries inside each measurement (10 hosts
@@ -164,33 +165,13 @@ TEST(SnapshotV6, RoundTripAcrossChunkBoundaries) {
   std::remove(path.c_str());
 }
 
-TEST(SnapshotV5, LegacyV4FilesStillLoad) {
-  const std::string path = "/tmp/opcua_test_v4_compat.bin";
-  const std::vector<ScanSnapshot> study = make_study(9);
-  save_snapshots_v4(path, 7, study);
-
-  const SnapshotReader reader(path, 7);
-  EXPECT_EQ(reader.version(), 4u);
-  ASSERT_EQ(reader.snapshots().size(), 2u);
-  EXPECT_EQ(reader.snapshots()[0].host_count, 9u);
-  EXPECT_EQ(reader.load_all(), study);
-
-  const auto loaded = load_snapshots(path, 7);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(*loaded, study);
-
-  // The analysis pipeline consumes v4 streams through the same interface.
-  EXPECT_TRUE(analyze_file(path, 7, {}).figures_equal(analyze_snapshots(study, {})));
-  std::remove(path.c_str());
-}
-
-TEST(SnapshotV5, AbandonedWriterLeavesUnloadableFile) {
+TEST(SnapshotV6, AbandonedWriterLeavesUnloadableFile) {
   // A writer destroyed without finish() — e.g. stack unwinding after a
   // failed campaign — must not seal the partial dataset: a 3-of-8-week
   // file that loads cleanly would silently skew every longitudinal stat.
   // The writer streams into a sibling .tmp and only finish() renames it,
   // so the final path never even exists for an abandoned campaign.
-  const std::string path = "/tmp/opcua_test_v5_abandoned.bin";
+  const std::string path = temp_path("opcua_test_abandoned.bin");
   std::remove(path.c_str());
   {
     SnapshotWriter writer(path, 42);
@@ -208,19 +189,19 @@ TEST(SnapshotV5, AbandonedWriterLeavesUnloadableFile) {
   std::remove((path + ".tmp").c_str());
 }
 
-TEST(SnapshotV5, SeedAndVersionMismatchRejected) {
-  const std::string path = "/tmp/opcua_test_v5_seed.bin";
+TEST(SnapshotV6, SeedAndVersionMismatchRejected) {
+  const std::string path = temp_path("opcua_test_seed.bin");
   save_snapshots(path, 42, make_study(3, 1));
   std::string error;
   EXPECT_FALSE(load_snapshots(path, 43, &error).has_value());
   EXPECT_NE(error.find("seed mismatch"), std::string::npos);
-  EXPECT_FALSE(load_snapshots("/tmp/no_such_snapshot_file.bin", 42).has_value());
+  EXPECT_FALSE(load_snapshots(temp_path("no_such_snapshot_file.bin"), 42).has_value());
   std::remove(path.c_str());
 }
 
-TEST(SnapshotV5, TruncationAlwaysFailsCleanly) {
-  const std::string path = "/tmp/opcua_test_v5_trunc.bin";
-  const std::string cut_path = "/tmp/opcua_test_v5_trunc_cut.bin";
+TEST(SnapshotV6, TruncationAlwaysFailsCleanly) {
+  const std::string path = temp_path("opcua_test_trunc.bin");
+  const std::string cut_path = temp_path("opcua_test_trunc_cut.bin");
   save_snapshots(path, 42, make_study(6, 1));
   const Bytes full = read_file_bytes(path);
   ASSERT_GT(full.size(), 64u);
@@ -244,8 +225,8 @@ TEST(SnapshotV5, TruncationAlwaysFailsCleanly) {
   std::remove(cut_path.c_str());
 }
 
-TEST(SnapshotV5, CorruptEnumValuesRejected) {
-  const std::string path = "/tmp/opcua_test_v5_enum.bin";
+TEST(SnapshotV6, CorruptEnumValuesRejected) {
+  const std::string path = temp_path("opcua_test_enum.bin");
   std::vector<ScanSnapshot> study = make_study(3, 1);
   // An out-of-range enum hidden behind a reinterpreted cast — exactly what
   // a flipped bit in a record payload produces.
@@ -263,9 +244,9 @@ TEST(SnapshotV5, CorruptEnumValuesRejected) {
   std::remove(path.c_str());
 }
 
-TEST(SnapshotV5, RandomPayloadCorruptionNeverCrashes) {
-  const std::string path = "/tmp/opcua_test_v5_fuzz.bin";
-  const std::string bad_path = "/tmp/opcua_test_v5_fuzz_bad.bin";
+TEST(SnapshotV6, RandomPayloadCorruptionNeverCrashes) {
+  const std::string path = temp_path("opcua_test_fuzz.bin");
+  const std::string bad_path = temp_path("opcua_test_fuzz_bad.bin");
   save_snapshots(path, 42, make_study(5, 1));
   const Bytes full = read_file_bytes(path);
   // Deterministic xorshift so the sweep is reproducible.
@@ -320,8 +301,8 @@ std::size_t v6_dict_offset(const Bytes& b) {
 }
 
 TEST(SnapshotV6, VarOffsetTableCorruptionRejected) {
-  const std::string path = "/tmp/opcua_test_v6_offsets.bin";
-  const std::string bad_path = "/tmp/opcua_test_v6_offsets_bad.bin";
+  const std::string path = temp_path("opcua_test_v6_offsets.bin");
+  const std::string bad_path = temp_path("opcua_test_v6_offsets_bad.bin");
   save_snapshots(path, 42, make_study(10, 1));
   const Bytes full = read_file_bytes(path);
 
@@ -375,8 +356,8 @@ TEST(SnapshotV6, VarOffsetTableCorruptionRejected) {
 }
 
 TEST(SnapshotV6, CertDictionaryCorruptionRejected) {
-  const std::string path = "/tmp/opcua_test_v6_dict.bin";
-  const std::string bad_path = "/tmp/opcua_test_v6_dict_bad.bin";
+  const std::string path = temp_path("opcua_test_v6_dict.bin");
+  const std::string bad_path = temp_path("opcua_test_v6_dict_bad.bin");
   save_snapshots(path, 42, make_study(10, 1));
   const Bytes full = read_file_bytes(path);
   const std::size_t dict = v6_dict_offset(full);
@@ -482,9 +463,9 @@ std::size_t v6_dict_der_offset(const Bytes& b, std::size_t index) {
 TEST(SnapshotV6, MultiBlockDictionaryVerifiesInParallel) {
   constexpr std::size_t kBlock = SnapshotReader::kDictBlock;
   const std::vector<Bytes> certs = distinct_cert_corpus(3 * kBlock + 40);
-  const std::string base_path = "/tmp/opcua_test_v6_blocks_0.bin";
-  const std::string next_path = "/tmp/opcua_test_v6_blocks_1.bin";
-  const std::string bad_path = "/tmp/opcua_test_v6_blocks_bad.bin";
+  const std::string base_path = temp_path("opcua_test_v6_blocks_0.bin");
+  const std::string next_path = temp_path("opcua_test_v6_blocks_1.bin");
+  const std::string bad_path = temp_path("opcua_test_v6_blocks_bad.bin");
   save_snapshots(base_path, 42, block_campaign(certs, certs.size() + 60, 0));
   save_snapshots(next_path, 42, block_campaign(certs, certs.size() + 60, 1));
 
@@ -578,7 +559,7 @@ TEST(SnapshotV6, MultiBlockDictionaryVerifiesInParallel) {
 }
 
 TEST(SnapshotV6, EmptyAndRuntFilesNameTheirSize) {
-  const std::string path = "/tmp/opcua_test_v6_runt.bin";
+  const std::string path = temp_path("opcua_test_v6_runt.bin");
   write_file_bytes(path, Bytes{});
   std::string error;
   EXPECT_FALSE(load_snapshots(path, 42, &error).has_value());
@@ -623,7 +604,7 @@ TEST(Analysis, SharedPrimesMatchesReference) {
 }
 
 TEST(Analysis, DeterministicAcrossThreadsAndChunking) {
-  const std::string path = "/tmp/opcua_test_determinism.bin";
+  const std::string path = temp_path("opcua_test_determinism.bin");
   const std::vector<ScanSnapshot> study = make_study(120);
   {
     // Small chunks -> many parallel work units with odd-sized tails.
@@ -641,15 +622,14 @@ TEST(Analysis, DeterministicAcrossThreadsAndChunking) {
   EXPECT_TRUE(streamed1.figures_equal(reference));
   EXPECT_TRUE(streamed8.figures_equal(reference));
 
-  AnalysisOptions tiny_chunks;
-  tiny_chunks.threads = 8;
-  tiny_chunks.chunk_records = 7;
-  EXPECT_TRUE(analyze_snapshots(study, tiny_chunks).figures_equal(reference));
+  const SnapshotReader tiny_chunks(std::make_shared<const Bytes>(encode_snapshots(study, 0, 7)),
+                                   0);
+  EXPECT_TRUE(analyze_reader(tiny_chunks, parallel).figures_equal(reference));
   std::remove(path.c_str());
 }
 
 TEST(Analysis, EmptyAndSingleWeekStudies) {
-  const std::string path = "/tmp/opcua_test_empty.bin";
+  const std::string path = temp_path("opcua_test_empty.bin");
   {
     SnapshotWriter writer(path, 42);
     writer.finish();
@@ -671,8 +651,8 @@ TEST(Analysis, EmptyAndSingleWeekStudies) {
 TEST(StreamedStudyWriter, MatchesBatchSave) {
   // The streamed writer (one measurement at a time) and save_snapshots
   // (whole vector) must produce files with identical logical content.
-  const std::string batch_path = "/tmp/opcua_test_batch.bin";
-  const std::string stream_path = "/tmp/opcua_test_stream.bin";
+  const std::string batch_path = temp_path("opcua_test_batch.bin");
+  const std::string stream_path = temp_path("opcua_test_stream.bin");
   const std::vector<ScanSnapshot> study = make_study(20, 3);
   save_snapshots(batch_path, 42, study);
   {
@@ -685,77 +665,18 @@ TEST(StreamedStudyWriter, MatchesBatchSave) {
   std::remove(stream_path.c_str());
 }
 
-TEST(SnapshotV6, V5WriterStillSupported) {
-  const std::string path = "/tmp/opcua_test_v5_writer.bin";
-  const std::vector<ScanSnapshot> study = make_study(10);
-  SnapshotWriter writer(path, 42, 3, /*format_version=*/5);
-  for (const auto& snapshot : study) writer.add_snapshot(snapshot);
-  writer.finish();
-
-  const SnapshotReader reader(path, 42);
-  EXPECT_EQ(reader.version(), 5u);
-  EXPECT_FALSE(reader.columnar());
-  EXPECT_EQ(reader.cert_count(), 0u);
-  EXPECT_EQ(reader.load_all(), study);
-  EXPECT_THROW(reader.column_view(0), SnapshotError);
-  std::remove(path.c_str());
-}
-
-TEST(SnapshotV6, RewriteFromV4AndV5IsEquivalentAndDeterministic) {
-  const std::string v4_path = "/tmp/opcua_test_rw_v4.bin";
-  const std::string v5_path = "/tmp/opcua_test_rw_v5.bin";
-  const std::string out_a = "/tmp/opcua_test_rw_a.bin";
-  const std::string out_b = "/tmp/opcua_test_rw_b.bin";
-  const std::vector<ScanSnapshot> study = make_study(14);
-
-  save_snapshots_v4(v4_path, 42, study);
-  {
-    SnapshotWriter writer(v5_path, 42, SnapshotWriter::kDefaultChunkRecords, 5);
-    for (const auto& snapshot : study) writer.add_snapshot(snapshot);
-    writer.finish();
-  }
-
-  // v4 -> v6 and v5 -> v6 rewrites preserve every record and, fed the
-  // same records and seed, produce byte-identical v6 files.
-  const SnapshotReader v4_reader(v4_path, 42);
-  const SnapshotReader v5_reader(v5_path, 42);
-  save_snapshots(out_a, 42, v4_reader.load_all());
-  save_snapshots(out_b, 42, v5_reader.load_all());
-  EXPECT_EQ(read_file_bytes(out_a), read_file_bytes(out_b));
-
-  const SnapshotReader v6_reader(out_a, 42);
-  EXPECT_EQ(v6_reader.version(), 6u);
-  EXPECT_EQ(v6_reader.load_all(), study);
-
-  // Rewriting the same records again is byte-stable.
-  save_snapshots(out_b, 42, v6_reader.load_all());
-  EXPECT_EQ(read_file_bytes(out_a), read_file_bytes(out_b));
-
-  std::remove(v4_path.c_str());
-  std::remove(v5_path.c_str());
-  std::remove(out_a.c_str());
-  std::remove(out_b.c_str());
-}
-
-TEST(SnapshotV6, FiguresIdenticalAcrossFormatsAndThreads) {
-  const std::string v4_path = "/tmp/opcua_test_fig_v4.bin";
-  const std::string v5_path = "/tmp/opcua_test_fig_v5.bin";
-  const std::string v6_path = "/tmp/opcua_test_fig_v6.bin";
+TEST(SnapshotV6, FiguresIdenticalAcrossThreads) {
+  const std::string path = temp_path("opcua_test_fig_v6.bin");
   const std::vector<ScanSnapshot> study = make_study(48);
-  save_snapshots_v4(v4_path, 42, study);
   {
-    SnapshotWriter writer(v5_path, 42, 11, 5);
-    for (const auto& snapshot : study) writer.add_snapshot(snapshot);
-    writer.finish();
-  }
-  {
-    SnapshotWriter writer(v6_path, 42, 11, 6);
+    SnapshotWriter writer(path, 42, 11);
     for (const auto& snapshot : study) writer.add_snapshot(snapshot);
     writer.finish();
   }
 
-  // The v6 columnar fast path, the v4/v5 record decode paths, and the
-  // in-memory reference must agree figure for figure at any thread count.
+  // The file read in 11-record chunks and the in-memory reference (one
+  // default-size chunk per week) agree figure for figure at any thread
+  // count, the §5.3 sweep included.
   AnalysisOptions serial;
   serial.threads = 1;
   serial.shared_primes = true;
@@ -763,17 +684,13 @@ TEST(SnapshotV6, FiguresIdenticalAcrossFormatsAndThreads) {
   AnalysisOptions parallel = serial;
   parallel.threads = 8;
   const StudyAnalysis reference = analyze_snapshots(study, serial);
-  EXPECT_TRUE(analyze_file(v4_path, 42, serial).figures_equal(reference));
-  EXPECT_TRUE(analyze_file(v5_path, 42, serial).figures_equal(reference));
-  EXPECT_TRUE(analyze_file(v6_path, 42, serial).figures_equal(reference));
-  EXPECT_TRUE(analyze_file(v6_path, 42, parallel).figures_equal(reference));
-  std::remove(v4_path.c_str());
-  std::remove(v5_path.c_str());
-  std::remove(v6_path.c_str());
+  EXPECT_TRUE(analyze_file(path, 42, serial).figures_equal(reference));
+  EXPECT_TRUE(analyze_file(path, 42, parallel).figures_equal(reference));
+  std::remove(path.c_str());
 }
 
 TEST(SnapshotV6, DictionaryIdOutOfRangeRejected) {
-  const std::string path = "/tmp/opcua_test_dict_range.bin";
+  const std::string path = temp_path("opcua_test_dict_range.bin");
   const std::vector<ScanSnapshot> study = make_study(10, 1);
   {
     SnapshotWriter writer(path, 42, 3);
@@ -808,37 +725,50 @@ TEST(SnapshotV6, DictionaryIdOutOfRangeRejected) {
 }
 
 TEST(SnapshotV6, SeedMismatchNamesFormatVersion) {
-  const std::string v4_path = "/tmp/opcua_test_seed_v4.bin";
-  const std::string v5_path = "/tmp/opcua_test_seed_v5.bin";
-  const std::string v6_path = "/tmp/opcua_test_seed_v6.bin";
-  const std::vector<ScanSnapshot> study = make_study(3, 1);
-  save_snapshots_v4(v4_path, 42, study);
-  {
-    SnapshotWriter writer(v5_path, 42, SnapshotWriter::kDefaultChunkRecords, 5);
-    for (const auto& snapshot : study) writer.add_snapshot(snapshot);
-    writer.finish();
-  }
-  save_snapshots(v6_path, 42, study);
+  const std::string path = temp_path("opcua_test_seed_v6.bin");
+  save_snapshots(path, 42, make_study(3, 1));
 
   // The mis-seed diagnostic names the detected format version and the
   // offset of the seed field, so operators can see *what* they opened.
-  const auto expect_mis_seed = [](const std::string& path, const char* version_tag) {
-    std::string error;
-    EXPECT_FALSE(load_snapshots(path, 43, &error).has_value());
-    EXPECT_NE(error.find("seed mismatch"), std::string::npos) << error;
-    EXPECT_NE(error.find("byte offset 8"), std::string::npos) << error;
-    EXPECT_NE(error.find(version_tag), std::string::npos) << error;
-  };
-  expect_mis_seed(v4_path, "v4");
-  expect_mis_seed(v5_path, "v5");
-  expect_mis_seed(v6_path, "v6");
-  std::remove(v4_path.c_str());
-  std::remove(v5_path.c_str());
-  std::remove(v6_path.c_str());
+  std::string error;
+  EXPECT_FALSE(load_snapshots(path, 43, &error).has_value());
+  EXPECT_NE(error.find("seed mismatch"), std::string::npos) << error;
+  EXPECT_NE(error.find("byte offset 8"), std::string::npos) << error;
+  EXPECT_NE(error.find("v6"), std::string::npos) << error;
+  std::remove(path.c_str());
+}
+
+TEST(SnapshotV6, RetiredFormatHeadersRejectedByName) {
+  // A file from the retired row formats: a valid magic, version 4 or 5,
+  // and whatever body. The reader refuses it up front and says which
+  // format it found and where, so a stale cache is recognizable (and the
+  // bench cache re-records itself on exactly this SnapshotError).
+  const std::string path = temp_path("opcua_test_retired.bin");
+  for (const std::uint8_t version : {4, 5}) {
+    Bytes header = {0x53, 0x41, 0x55, 0x4f, version, 0, 0, 0};  // 'OUAS', version
+    for (int i = 0; i < 8; ++i) {  // u64 seed 42, little-endian
+      header.push_back(static_cast<std::uint8_t>(std::uint64_t{42} >> (8 * i)));
+    }
+    header.resize(header.size() + 64, 0);  // a body the reader never walks
+    write_file_bytes(path, header);
+    try {
+      const SnapshotReader reader(path, 42);
+      FAIL() << "v" << int{version} << " header accepted";
+    } catch (const SnapshotError& e) {
+      const std::string error = e.what();
+      EXPECT_NE(error.find("retired snapshot format v" + std::to_string(version)),
+                std::string::npos)
+          << error;
+      EXPECT_NE(error.find(path), std::string::npos) << error;
+    }
+    // The same bytes as an in-memory image fail the same way.
+    EXPECT_THROW(SnapshotReader(std::make_shared<const Bytes>(header), 42), SnapshotError);
+  }
+  std::remove(path.c_str());
 }
 
 TEST(SnapshotV6, ReadChunkBufferOverloadMatches) {
-  const std::string path = "/tmp/opcua_test_buffer.bin";
+  const std::string path = temp_path("opcua_test_buffer.bin");
   const std::vector<ScanSnapshot> study = make_study(10);
   {
     SnapshotWriter writer(path, 42, 4);
@@ -869,23 +799,101 @@ TEST(SnapshotV6, DistinctCertFingerprintsMatchDistinctCertificates) {
 }
 
 TEST(SnapshotV6, DictionaryCompressionShrinksFile) {
-  const std::string v5_path = "/tmp/opcua_test_size_v5.bin";
-  const std::string v6_path = "/tmp/opcua_test_size_v6.bin";
+  const std::string path = temp_path("opcua_test_size_v6.bin");
   const std::vector<ScanSnapshot> study = make_study(200);
-  {
-    SnapshotWriter writer(v5_path, 42, SnapshotWriter::kDefaultChunkRecords, 5);
-    for (const auto& snapshot : study) writer.add_snapshot(snapshot);
-    writer.finish();
+  save_snapshots(path, 42, study);
+  // The fleet shares 6 certificates across 400 host records: the
+  // dictionary stores each DER once, so the whole file is smaller than
+  // the certificate bytes alone would be if every endpoint carried its
+  // DER inline.
+  std::size_t inline_der_bytes = 0;
+  for (const auto& snapshot : study) {
+    for (const auto& host : snapshot.hosts) {
+      for (const auto& ep : host.endpoints) inline_der_bytes += ep.certificate_der.size();
+    }
   }
-  save_snapshots(v6_path, 42, study);
-  // The fleet shares 6 certificates across 400 host records: the v6
-  // dictionary stores each DER once, so the file must shrink well below
-  // the v5 row format's inline-DER size.
-  const std::size_t v5_size = read_file_bytes(v5_path).size();
-  const std::size_t v6_size = read_file_bytes(v6_path).size();
-  EXPECT_LT(v6_size * 2, v5_size) << "v5=" << v5_size << " v6=" << v6_size;
-  std::remove(v5_path.c_str());
-  std::remove(v6_path.c_str());
+  const std::size_t file_size = read_file_bytes(path).size();
+  EXPECT_EQ(SnapshotReader(path, 42).cert_count(), cert_fleet().size());
+  EXPECT_LT(file_size, inline_der_bytes)
+      << "file=" << file_size << " inline DER=" << inline_der_bytes;
+  std::remove(path.c_str());
+}
+
+// ------------------------------------------- in-memory images == files ----
+
+TEST(InMemoryImage, MatchesFileForAnalysisDiffAndSeries) {
+  // The in-memory entry points encode their vectors into v6 images and
+  // read them through SnapshotReader; every result must equal the same
+  // records written to files — at a small ragged chunk size and the
+  // default, on one thread and four.
+  const std::vector<ScanSnapshot> base = make_study(40);
+  std::vector<ScanSnapshot> followup = make_study(36, 3);
+  for (auto& host : followup.back().hosts) {
+    if (host.ip % 5 == 0) host.ip += 0x100000;  // churned addresses
+  }
+  for (const std::uint32_t chunk : {7u, SnapshotWriter::kDefaultChunkRecords}) {
+    const std::string base_path = temp_path("opcua_test_mem_base.bin");
+    const std::string followup_path = temp_path("opcua_test_mem_followup.bin");
+    const auto write = [&](const std::string& path, const std::vector<ScanSnapshot>& study) {
+      SnapshotWriter writer(path, 42, chunk);
+      for (const auto& snapshot : study) writer.add_snapshot(snapshot);
+      writer.finish();
+    };
+    write(base_path, base);
+    write(followup_path, followup);
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE("chunk " + std::to_string(chunk) + ", threads " + std::to_string(threads));
+      AnalysisOptions analysis_options;
+      analysis_options.threads = threads;
+      EXPECT_TRUE(analyze_snapshots(base, analysis_options)
+                      .figures_equal(analyze_file(base_path, 42, analysis_options)));
+
+      DiffOptions diff_options;
+      diff_options.threads = threads;
+      diff_options.validate_pairing = false;
+      const CampaignDiff from_files =
+          diff_files(base_path, 42, followup_path, 42, diff_options);
+      EXPECT_EQ(campaign_diff_json(diff_snapshots(base, followup, diff_options)),
+                campaign_diff_json(from_files));
+      EXPECT_GT(from_files.retired, 0u);
+
+      SeriesOptions series_options;
+      series_options.threads = threads;
+      series_options.use_sketches = false;
+      series_options.validate_ordering = false;
+      CampaignSet files;
+      files.add_file(base_path, 42);
+      files.add_file(followup_path, 42);
+      CampaignSet memory;
+      memory.add_snapshots(base);
+      memory.add_snapshots(followup);
+      EXPECT_EQ(series_analysis_json(analyze_series(memory, series_options)),
+                series_analysis_json(analyze_series(files, series_options)));
+    }
+    std::remove(base_path.c_str());
+    std::remove(followup_path.c_str());
+  }
+}
+
+TEST(InMemoryImage, WriterImageEqualsFileBytes) {
+  const std::string path = temp_path("opcua_test_image.bin");
+  const std::vector<ScanSnapshot> study = make_study(10);
+  save_snapshots(path, 42, study);
+  EXPECT_EQ(encode_snapshots(study, 42), read_file_bytes(path));
+
+  SnapshotWriter writer(42, 3);
+  EXPECT_THROW(writer.take_image(), SnapshotError);  // not sealed yet
+  for (const auto& snapshot : study) writer.add_snapshot(snapshot);
+  writer.finish();
+  const SnapshotReader reader(std::make_shared<const Bytes>(writer.take_image()), 42);
+  EXPECT_EQ(reader.chunks().size(), 8u);
+  EXPECT_EQ(reader.load_all(), study);
+
+  // A truncated image is rejected like a truncated file.
+  Bytes cut = encode_snapshots(study, 42);
+  cut.resize(cut.size() - 5);
+  EXPECT_THROW(SnapshotReader(std::make_shared<const Bytes>(cut), 42), SnapshotError);
+  std::remove(path.c_str());
 }
 
 }  // namespace
