@@ -151,7 +151,8 @@ struct ChunkLayout {
   const std::uint8_t* var = nullptr;
 };
 
-ChunkLayout chunk_layout(const std::uint8_t* payload, std::uint64_t payload_bytes, std::uint32_t n) {
+ChunkLayout chunk_layout(const std::uint8_t* payload, std::uint64_t payload_bytes,
+                         std::uint32_t n) {
   const std::uint64_t fixed = 47ull * n + 4;
   if (payload_bytes < fixed) throw DecodeError("chunk payload shorter than its fixed columns");
   ChunkLayout lay;

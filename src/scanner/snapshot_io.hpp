@@ -256,7 +256,8 @@ class SnapshotWriter {
   static constexpr std::uint32_t kDefaultChunkRecords = 4096;
 
   /// File writer: streams into `path`.tmp, renamed over `path` by finish().
-  /// `chunk_records` is the largest chunk; it is recorded in the file.
+  /// `chunk_records` caps the records per chunk (the chunk table records
+  /// each chunk's actual size).
   SnapshotWriter(const std::string& path, std::uint64_t seed,
                  std::uint32_t chunk_records = kDefaultChunkRecords);
   /// In-memory writer: byte-identical output, sealed into a buffer.
